@@ -15,7 +15,6 @@
 #include "core/building_graph.hpp"
 #include "core/compiled_message.hpp"
 #include "core/conduit.hpp"
-#include "core/packet_pool.hpp"
 #include "core/route_planner.hpp"
 #include "cryptox/chacha20.hpp"
 #include "cryptox/sealed.hpp"
@@ -368,8 +367,7 @@ BENCHMARK(BM_EventEngineThroughput)->Unit(benchmark::kMillisecond);
 
 // Hold model (the classic calendar-queue benchmark): keep N events pending
 // and repeatedly pop-then-push, so cost per operation is measured at a
-// steady queue depth. Arg is the pending-set size; one run per scheduler
-// kind at 10^3..10^6 shows where the heap's log N starts to bite.
+// steady queue depth. Arg is the pending-set size, 10^3..10^6.
 //
 // The mean ns/op hides the calendar's occupancy-rebuild tail: a resize
 // redistributes every pending event in one push, so a single op can cost
@@ -380,10 +378,8 @@ BENCHMARK(BM_EventEngineThroughput)->Unit(benchmark::kMillisecond);
 static std::map<std::string, double> g_hold_max_ns;
 
 static void BM_SchedulerHold(benchmark::State& state) {
-  const auto kind = state.range(0) == 0 ? citymesh::sim::SchedulerKind::kHeap
-                                        : citymesh::sim::SchedulerKind::kCalendar;
-  const std::size_t pending = static_cast<std::size_t>(state.range(1));
-  citymesh::sim::EventQueue q{kind};
+  const std::size_t pending = static_cast<std::size_t>(state.range(0));
+  citymesh::sim::CalendarQueue q;
   geo::Rng rng{7};
   double now = 0.0;
   std::uint64_t seq = 0;
@@ -416,36 +412,11 @@ static void BM_SchedulerHold(benchmark::State& state) {
     max_ns = std::max(max_ns, ns);
   }
   state.counters["max_op_ns"] = benchmark::Counter(max_ns);
-  const std::string key = "hold_max_ns." +
-                          std::string{citymesh::sim::to_string(kind)} + "." +
-                          std::to_string(pending);
+  const std::string key = "hold_max_ns.calendar." + std::to_string(pending);
   g_hold_max_ns[key] = std::max(g_hold_max_ns[key], max_ns);
   state.SetItemsProcessed(state.iterations());
-  state.SetLabel(std::string{citymesh::sim::to_string(kind)});
 }
-BENCHMARK(BM_SchedulerHold)
-    ->ArgsProduct({{0, 1}, {1'000, 10'000, 100'000, 1'000'000}});
-
-// Packet materialization: the pooled allocate_shared path each send/ack
-// takes versus the make_shared it replaced.
-static void BM_PacketAlloc(benchmark::State& state) {
-  const bool pooled = state.range(0) != 0;
-  citymesh::core::PacketPool pool{1024};
-  const std::vector<std::uint8_t> header(48, 0xab);
-  for (auto _ : state) {
-    std::shared_ptr<const citymesh::core::MeshPacket> p;
-    if (pooled) {
-      p = pool.make(citymesh::core::MeshPacket{header, {}, 1, nullptr});
-    } else {
-      p = std::make_shared<const citymesh::core::MeshPacket>(
-          citymesh::core::MeshPacket{header, {}, 1, nullptr});
-    }
-    benchmark::DoNotOptimize(p);
-  }
-  state.SetItemsProcessed(state.iterations());
-  state.SetLabel(pooled ? "pooled" : "make_shared");
-}
-BENCHMARK(BM_PacketAlloc)->Arg(0)->Arg(1);
+BENCHMARK(BM_SchedulerHold)->Arg(1'000)->Arg(10'000)->Arg(100'000)->Arg(1'000'000);
 
 // One broadcast through the medium fan-out: per-reception scheduling versus
 // the batched single-queue-node path, on a degree-~10 star topology.
@@ -693,9 +664,9 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   const std::size_t ran = benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  // Hold-model tail latencies (one param per scheduler kind x pending
-  // size). Machine-dependent, so they live in the manifest params, never in
-  // the digest row.
+  // Hold-model tail latencies (one param per pending size).
+  // Machine-dependent, so they live in the manifest params, never in the
+  // digest row.
   for (const auto& [key, max_ns] : g_hold_max_ns) {
     emit.manifest().set_param(key, max_ns);
   }

@@ -49,10 +49,6 @@ CityMeshNetwork::CityMeshNetwork(std::shared_ptr<const CompiledCity> compiled,
       spt_cache_(compiled_->map.graph()),
       planner_(compiled_->map, config.conduit, &spt_cache_),
       compiler_(compiled_->map),
-      packet_pool_(config.pooled_packets
-                       ? std::make_unique<PacketPool>(config.packet_pool_capacity)
-                       : nullptr),
-      sim_(config.scheduler),
       medium_(sim_, compiled_->aps.graph(), config.medium),
       trace_(trace_capacity_for(config_, compiled_->aps.ap_count())),
       ap_status_(compiled_->aps.ap_count(), ApStatus::kUp),
@@ -90,9 +86,8 @@ CityMeshNetwork::CityMeshNetwork(std::shared_ptr<const CompiledCity> compiled,
     });
   }
 
-  // Rebroadcast policy (src/relayx). The policy draws from the network seed;
-  // the legacy building_suppression flag maps onto building-backoff. The
-  // relayx.* counters are bound into metrics_ for non-flood policies only,
+  // Rebroadcast policy (src/relayx). The policy draws from the network seed.
+  // The relayx.* counters are bound into metrics_ for non-flood policies only,
   // mirroring the MessageCompiler precedent: snapshot() serializes every
   // registered counter, and flood manifests must stay byte-identical to the
   // pre-relayx pipeline. Tiled runs decide through per-shard policies; this
@@ -131,12 +126,6 @@ CityMeshNetwork::CityMeshNetwork(std::shared_ptr<const CompiledCity> compiled,
   h_min_hops_ = &metrics_.histogram("net.min_hops", obsx::linear_buckets(1.0, 1.0, 32));
   h_tx_per_delivery_ =
       &metrics_.histogram("net.tx_per_delivery", obsx::exponential_buckets(1.0, 2.0, 12));
-#ifdef CITYMESH_POOL_STATS
-  pool_packet_acquires_ = &metrics_.counter("pool.packet_acquires");
-  pool_packet_fallbacks_ = &metrics_.counter("pool.packet_fallbacks");
-  pool_packet_peak_in_use_ = &metrics_.counter("pool.packet_peak_in_use");
-  pool_inline_fn_heap_fallbacks_ = &metrics_.counter("pool.inline_fn_heap_fallbacks");
-#endif
 
   if (tiled) {
     // Key-set parity with K = 1: the coordinator registry carries the
@@ -192,11 +181,6 @@ void CityMeshNetwork::bind_qfgeo_counters(Shard& shard, obsx::MetricsRegistry& r
 relayx::PolicyConfig CityMeshNetwork::resolved_relay_config() const {
   relayx::PolicyConfig relay = config_.relay;
   relay.seed = config_.seed;
-  if (config_.building_suppression && relay.kind == relayx::PolicyKind::kFlood) {
-    relay.kind = relayx::PolicyKind::kBuildingBackoff;
-    relay.backoff_s = config_.suppression_backoff_s;
-    relay.suppress_radius_m = config_.suppression_radius_m;
-  }
   // Tiled execution makes the global election order shard-count-dependent;
   // per-AP draw streams keep backoff draws a function of each AP's own
   // election sequence, which is K-invariant.
@@ -242,7 +226,7 @@ void CityMeshNetwork::build_tiles() {
     s->metrics = s->own_metrics.get();
     s->own_trace = std::make_unique<obsx::TraceBuffer>(trace_cap);
     s->trace = s->own_trace.get();
-    s->own_sim = std::make_unique<sim::Simulator>(config_.scheduler);
+    s->own_sim = std::make_unique<sim::Simulator>();
     s->sim = s->own_sim.get();
     s->h_latency = &s->metrics->histogram("sim.event_latency_s",
                                           obsx::exponential_buckets(1e-4, 4.0, 10));
@@ -458,7 +442,7 @@ void CityMeshNetwork::send_ack_from(Shard& shard, mesh::ApId ap) {
   const auto encoded = wire::encode_header(ack);
   // Compile once at build time (decodes the just-encoded bytes so receivers
   // share the canonical decoded header); every reception is then a lookup.
-  auto packet = make_packet(MeshPacket{
+  auto packet = std::make_shared<const MeshPacket>(MeshPacket{
       encoded.bytes, /*payload=*/{}, ack.message_id,
       shard.compiler->compile_bytes(encoded.bytes)});
   shard.n_acks_sent->inc();
@@ -923,20 +907,6 @@ void CityMeshNetwork::merge_shard_deltas() {
 }
 
 obsx::MetricsSnapshot CityMeshNetwork::merged_metrics() const {
-#ifdef CITYMESH_POOL_STATS
-  // Publish the pools' live tallies right before serialization (the caches
-  // are plain Counter cells, so "set" is reset + inc).
-  const auto set = [](obsx::Counter* c, std::uint64_t v) {
-    c->reset();
-    c->inc(v);
-  };
-  const sim::PoolStats ps =
-      packet_pool_ != nullptr ? packet_pool_->stats() : sim::PoolStats{};
-  set(pool_packet_acquires_, ps.acquires);
-  set(pool_packet_fallbacks_, ps.fallbacks);
-  set(pool_packet_peak_in_use_, ps.peak_in_use);
-  set(pool_inline_fn_heap_fallbacks_, sim::InlineFn::heap_fallbacks());
-#endif
   obsx::MetricsSnapshot snap = metrics_.snapshot();
   if (config_.shards > 1) {
     // Tile order: merge() sums counters and bucket-wise histograms, and the
@@ -1049,7 +1019,7 @@ SendOutcome CityMeshNetwork::run_send(BuildingId from_building, const PostboxInf
   const auto encoded = wire::encode_header(header);
   outcome.header_bits = encoded.bit_count;
 
-  auto packet = make_packet(MeshPacket{
+  auto packet = std::make_shared<const MeshPacket>(MeshPacket{
       encoded.bytes, std::vector<std::uint8_t>{payload.begin(), payload.end()},
       header.message_id, compiler_.compile_bytes(encoded.bytes)});
 
@@ -1198,7 +1168,7 @@ InjectResult CityMeshNetwork::inject(BuildingId from_building, const PostboxInfo
   result.message_id = header.message_id;
   result.header_bits = encoded.bit_count;
 
-  auto packet = make_packet(MeshPacket{
+  auto packet = std::make_shared<const MeshPacket>(MeshPacket{
       encoded.bytes, std::vector<std::uint8_t>{payload.begin(), payload.end()},
       header.message_id, compiler_.compile_bytes(encoded.bytes)});
 

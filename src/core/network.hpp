@@ -18,9 +18,7 @@
 //     pluggable relayx::RebroadcastPolicy (NetworkConfig::relay) — flood
 //     reproduces the paper byte-for-byte, the suppression policies implement
 //     the "currently all the APs within a building rebroadcast ... this
-//     overhead can be reduced" reduction. The legacy
-//     NetworkConfig::building_suppression flag maps onto the
-//     building-backoff policy.
+//     overhead can be reduced" reduction.
 #pragma once
 
 #include <memory>
@@ -33,7 +31,6 @@
 #include "core/building_graph.hpp"
 #include "core/compiled_message.hpp"
 #include "core/postbox.hpp"
-#include "core/packet_pool.hpp"
 #include "core/route_planner.hpp"
 #include "mesh/ap_network.hpp"
 #include "obsx/metrics.hpp"
@@ -97,14 +94,6 @@ struct NetworkConfig {
   /// construction so policy draws follow the run's determinism contract.
   relayx::PolicyConfig relay;
 
-  /// Legacy alias (overhead reduction, §4/§6): true selects the
-  /// building-backoff policy with the two parameters below, unless `relay`
-  /// already names a non-flood policy. Kept so existing configs, the
-  /// --suppression CLI flag, and the suppression tests keep working.
-  bool building_suppression = false;
-  sim::SimTime suppression_backoff_s = 0.02;
-  double suppression_radius_m = 15.0;
-
   /// Capacity of the network's trace ring (events). 0 = auto-size from the
   /// AP count. The ring keeps the latest window when a run outgrows it.
   std::size_t trace_capacity = 0;
@@ -134,16 +123,6 @@ struct NetworkConfig {
   /// The qfgeo.* counters are registered only under kQfgeo, so conduit
   /// manifests serialize exactly the legacy key set.
   Protocol protocol = Protocol::kConduit;
-
-  /// Event-queue implementation for this network's simulator(s) — the
-  /// coordinator loop and every shard loop. Both kinds realize the identical
-  /// (time, seq) total order (sim/scheduler.hpp), so this knob trades queue
-  /// cost only; digests never move.
-  sim::SchedulerKind scheduler = sim::kDefaultScheduler;
-  /// Allocate MeshPackets from a fixed-size pool (core/packet_pool.hpp)
-  /// instead of make_shared. Exhaustion falls back to the heap, counted.
-  bool pooled_packets = true;
-  std::size_t packet_pool_capacity = 4096;
 
   /// Forwarding-region shape (kQfgeo only).
   qfgeo::RegionConfig qfgeo_region;
@@ -615,7 +594,7 @@ class CityMeshNetwork {
                        std::span<const std::uint8_t> payload, const SendOptions& opts,
                        std::uint8_t extra_flags, std::uint32_t broadcast_radius_m);
 
-  /// The resolved relayx config (seed + legacy building_suppression alias).
+  /// The resolved relayx config (network seed, per-AP streams when tiled).
   relayx::PolicyConfig resolved_relay_config() const;
   /// Build the K tile shards, cross-link index, and worker pool.
   void build_tiles();
@@ -639,13 +618,6 @@ class CityMeshNetwork {
   static std::size_t trace_capacity_for(const NetworkConfig& config,
                                         std::size_t ap_count);
 
-  /// Materialize a packet from the pool (or the heap when pooling is off).
-  /// Thread-safe: the tiled ack path builds packets on worker threads.
-  std::shared_ptr<const MeshPacket> make_packet(MeshPacket&& fields) const {
-    if (packet_pool_ != nullptr) return packet_pool_->make(std::move(fields));
-    return std::make_shared<const MeshPacket>(std::move(fields));
-  }
-
   std::shared_ptr<const CompiledCity> compiled_;
   NetworkConfig config_;
   /// Resumable-Dijkstra cache shared by every planner this network builds
@@ -654,19 +626,6 @@ class CityMeshNetwork {
   SptCache spt_cache_;
   RoutePlanner planner_;
   MessageCompiler compiler_;  ///< declared before agents_, which point at it
-  /// Declared before sim_/medium_/shards_: packets it allocated live in
-  /// their queues, and the shared_ptr deleters return blocks to this pool,
-  /// so it must be destroyed last. Null when config.pooled_packets is off.
-  std::unique_ptr<PacketPool> packet_pool_;
-#ifdef CITYMESH_POOL_STATS
-  // Allocator counters (compiled in by -DCITYMESH_POOL_STATS=ON only: the
-  // extra registered keys would otherwise change every run manifest).
-  // Refreshed from the pool's live stats on merged_metrics().
-  obsx::Counter* pool_packet_acquires_ = nullptr;
-  obsx::Counter* pool_packet_fallbacks_ = nullptr;
-  obsx::Counter* pool_packet_peak_in_use_ = nullptr;
-  obsx::Counter* pool_inline_fn_heap_fallbacks_ = nullptr;
-#endif
   sim::Simulator sim_;
   sim::BroadcastMedium<MeshPacket> medium_;
   /// Every agent's mutable state, struct-of-arrays by AP id (core/ap_state).

@@ -1,12 +1,22 @@
 #include "faultx/spec.hpp"
 
 #include <charconv>
+#include <cmath>
 #include <istream>
+#include <limits>
 #include <sstream>
 
 namespace citymesh::faultx {
 
 namespace {
+
+/// True when `v` truncates to a value of the unsigned integer type T; the
+/// cast is undefined behavior otherwise. 2^digits is exact as a double, so
+/// the upper bound is exclusive.
+template <typename T>
+bool fits(double v) {
+  return v >= 0.0 && v < std::ldexp(1.0, std::numeric_limits<T>::digits);
+}
 
 /// Token cursor over one spec line.
 class Cursor {
@@ -28,7 +38,10 @@ class Cursor {
     if (done()) return false;
     const std::string& s = tokens_[pos_];
     const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), out);
-    if (ec != std::errc{} || ptr != s.data() + s.size()) return false;
+    // from_chars also accepts "inf" and "nan"; no spec value may be either.
+    if (ec != std::errc{} || ptr != s.data() + s.size() || !std::isfinite(out)) {
+      return false;
+    }
     ++pos_;
     return true;
   }
@@ -75,7 +88,7 @@ bool parse_blackout(Cursor& cur, Scenario& scenario) {
       if (!cur.number(restore)) return false;
       event.restore_at_s = restore;
     } else if (cur.accept("stages")) {
-      if (!cur.number(stages) || stages < 1) return false;
+      if (!cur.number(stages) || stages < 1 || !fits<std::size_t>(stages)) return false;
       event.restore_stages = static_cast<std::size_t>(stages);
     } else if (cur.accept("every")) {
       if (!cur.number(every)) return false;
@@ -171,7 +184,7 @@ bool parse_line(Cursor& cur, ParsedScenario& out) {
   }
   if (cur.accept("seed")) {
     double v = 0.0;
-    if (!cur.number(v) || v < 0.0) return false;
+    if (!cur.number(v) || !fits<std::uint64_t>(v)) return false;
     out.scenario.seed = static_cast<std::uint64_t>(v);
     return cur.done();
   }

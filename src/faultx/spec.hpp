@@ -13,7 +13,8 @@
 //
 // Region clauses: `rect X0 Y0 X1 Y1` (axis-aligned) or `poly x1 y1 x2 y2
 // ... xn yn` (>= 3 vertices). Trailing clauses of an event line are
-// optional and may appear in any order.
+// optional and may appear in any order. Numbers must be finite ("inf" and
+// "nan" are rejected), and `seed` and `stages` must fit their integer type.
 #pragma once
 
 #include <iosfwd>

@@ -64,11 +64,9 @@ class FloodPolicy final : public RebroadcastPolicy {
 // ------------------------------------------------------- building-backoff ---
 
 /// Random backoff; cancel on an overheard same-building copy within the
-/// suppress radius. Promoted from the former inline
-/// NetworkConfig::building_suppression path — draws come from one shared
-/// stream seeded with the network seed, in election order, reproducing the
-/// legacy draw sequence exactly (bench/ablation_suppression rows are
-/// byte-equivalent).
+/// suppress radius. Draws come from one shared stream seeded with the
+/// network seed, in election order (per-AP streams when tiled), so
+/// bench/ablation_suppression rows are reproducible byte for byte.
 class BuildingBackoffPolicy final : public RebroadcastPolicy {
  public:
   BuildingBackoffPolicy(const PolicyConfig& config, const mesh::ApNetwork& aps)

@@ -18,9 +18,8 @@
 //                    stay byte-identical to the pre-relayx pipeline (the
 //                    golden digest gate verifies this).
 //   building-backoff random backoff, cancel when a copy is overheard from an
-//                    AP of the same building within suppress_radius_m (the
-//                    former NetworkConfig::building_suppression path,
-//                    promoted from bench/ablation_suppression.cpp).
+//                    AP of the same building within suppress_radius_m
+//                    (promoted from bench/ablation_suppression.cpp).
 //   counter-gossip   probabilistic rebroadcast (probability gossip_p) plus a
 //                    copy counter: cancel after cancel_copies overheard
 //                    duplicates inside the backoff window, building-blind.

@@ -1,8 +1,10 @@
 #include "runx/sweep.hpp"
 
 #include <charconv>
+#include <cmath>
 #include <fstream>
 #include <istream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -19,7 +21,16 @@ namespace {
 
 bool parse_number(const std::string& s, double& out) {
   const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), out);
-  return ec == std::errc{} && ptr == s.data() + s.size();
+  // from_chars also accepts "inf" and "nan"; no spec value may be either.
+  return ec == std::errc{} && ptr == s.data() + s.size() && std::isfinite(out);
+}
+
+/// True when `v` truncates to a value of the unsigned integer type T; the
+/// cast is undefined behavior otherwise. 2^digits is exact as a double, so
+/// the upper bound is exclusive.
+template <typename T>
+bool fits(double v) {
+  return v >= 0.0 && v < std::ldexp(1.0, std::numeric_limits<T>::digits);
 }
 
 /// File stem for point labels: "specs/blackout.spec" -> "blackout".
@@ -47,13 +58,16 @@ bool parse_line(const std::vector<std::string>& parts, SweepSpec& spec) {
   if (key == "seeds") {
     if (parts.size() < 2) return false;
     for (std::size_t i = 1; i < parts.size(); ++i) {
-      if (!parse_number(parts[i], v) || v < 0.0) return false;
+      if (!parse_number(parts[i], v) || !fits<std::uint64_t>(v)) return false;
       spec.seeds.push_back(static_cast<std::uint64_t>(v));
     }
     return true;
   }
   if (key == "pairs" || key == "deliver") {
-    if (parts.size() != 2 || !parse_number(parts[1], v) || v < 1.0) return false;
+    if (parts.size() != 2 || !parse_number(parts[1], v) || v < 1.0 ||
+        !fits<std::size_t>(v)) {
+      return false;
+    }
     (key == "pairs" ? spec.pairs : spec.deliver) = static_cast<std::size_t>(v);
     return true;
   }

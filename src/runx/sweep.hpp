@@ -15,7 +15,9 @@
 //   point scenario specs/blackout.spec
 //   point workload specs/rush-hour.spec
 //
-// `cities` and `seeds` accumulate across repeated lines. A sweep with no
+// `seeds`, `pairs` and `deliver` take finite numbers that fit their integer
+// type ("inf" and "nan" are rejected). `cities` and `seeds` accumulate
+// across repeated lines. A sweep with no
 // `point` line runs one `eval` point (the Fig-6 protocol). Point kinds:
 //   eval            reachability/deliverability protocol, `pairs`/`deliver`
 //                   sampled with the grid seed

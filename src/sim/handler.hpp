@@ -78,7 +78,7 @@ class InlineFn {
   void operator()() { ops_->invoke(buf_); }
 
   /// Captures that exceeded kInlineBytes and were heap-allocated (process
-  /// lifetime total; pool tests assert the hot path stays at zero).
+  /// lifetime total; the InlineFn tests assert small captures stay at zero).
   static std::uint64_t heap_fallbacks() {
     return detail::inline_fn_heap_fallbacks().load(std::memory_order_relaxed);
   }

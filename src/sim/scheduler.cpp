@@ -5,20 +5,6 @@
 
 namespace citymesh::sim {
 
-std::string_view to_string(SchedulerKind kind) {
-  switch (kind) {
-    case SchedulerKind::kHeap: return "heap";
-    case SchedulerKind::kCalendar: return "calendar";
-  }
-  return "heap";
-}
-
-std::optional<SchedulerKind> scheduler_from(std::string_view name) {
-  if (name == "heap") return SchedulerKind::kHeap;
-  if (name == "calendar") return SchedulerKind::kCalendar;
-  return std::nullopt;
-}
-
 CalendarQueue::CalendarQueue() : buckets_(kMinBuckets) {}
 
 void CalendarQueue::insert_sorted(std::vector<EventRecord>& v, EventRecord&& ev) {
@@ -220,30 +206,6 @@ void CalendarQueue::rebuild(std::size_t bucket_count, Rederive rederive) {
   overflow_.clear();
   cached_ = Where::kNone;
   for (EventRecord& ev : all) place(std::move(ev), nullptr, nullptr);
-}
-
-void EventQueue::push(EventRecord&& ev) {
-  if (kind_ == SchedulerKind::kHeap) {
-    heap_.push_back(std::move(ev));
-    std::push_heap(heap_.begin(), heap_.end(), &heap_after);
-  } else {
-    cal_.push(std::move(ev));
-  }
-}
-
-const EventRecord* EventQueue::peek() const {
-  if (kind_ == SchedulerKind::kHeap) return heap_.empty() ? nullptr : &heap_.front();
-  return cal_.peek();
-}
-
-EventRecord EventQueue::pop() {
-  if (kind_ == SchedulerKind::kHeap) {
-    std::pop_heap(heap_.begin(), heap_.end(), &heap_after);
-    EventRecord ev = std::move(heap_.back());
-    heap_.pop_back();
-    return ev;
-  }
-  return cal_.pop();
 }
 
 }  // namespace citymesh::sim

@@ -1,11 +1,8 @@
-// Pending-event storage for the simulator: binary heap and calendar queue.
-//
-// Both implementations realize the same total order — strictly increasing
-// (time, seq) — so which one runs is a performance choice, never a behavior
-// choice: the differential harness in tests/test_scheduler.cpp replays
-// randomized schedule/cancel streams through both and asserts identical pop
-// sequences, and the end-to-end golden digests are byte-identical under
-// either kind.
+// Pending-event storage for the simulator: a calendar queue realizing the
+// strictly increasing (time, seq) total order. The differential harness in
+// tests/test_scheduler.cpp replays randomized schedule/cancel streams
+// through the Simulator and a test-local binary-heap reference and asserts
+// identical pop sequences.
 //
 // The calendar queue (Brown 1988, the ns-2 scheduler) hashes each event by
 // its "day" — floor(time / width) — into one of 2^k bucket "slots" of a
@@ -18,9 +15,8 @@
 // triggers an occupancy-proportional narrowing rebuild (the signal a spacing
 // quantile cannot see on a bimodal pending set). A far-future/overflow
 // bucket catches events whose day index would not fit — including +infinity
-// timers. Equal times always land in the same bucket, so
-// the in-bucket (time, seq) sort reproduces the heap's FIFO tie-break
-// exactly.
+// timers. Equal times always land in the same bucket, so the in-bucket
+// (time, seq) sort yields the FIFO tie-break exactly.
 //
 // Event records carry their handler inline (sim/handler.hpp) or a pointer to
 // a BatchEvent — a multi-shot event the medium uses to fan one transmission
@@ -33,8 +29,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <optional>
-#include <string_view>
 #include <vector>
 
 #include "sim/handler.hpp"
@@ -45,18 +39,6 @@ namespace citymesh::sim {
 using SimTime = double;
 
 constexpr SimTime kForever = std::numeric_limits<SimTime>::infinity();
-
-enum class SchedulerKind : std::uint8_t {
-  kHeap,      ///< binary heap (the legacy std::priority_queue order)
-  kCalendar,  ///< calendar queue (identical order, O(1) at high event rates)
-};
-
-/// Default for new simulators; the differential gate proved order identity,
-/// so the calendar queue is the default and kHeap remains the reference.
-inline constexpr SchedulerKind kDefaultScheduler = SchedulerKind::kCalendar;
-
-std::string_view to_string(SchedulerKind kind);
-std::optional<SchedulerKind> scheduler_from(std::string_view name);
 
 /// What a BatchEvent::fire returns: the key of its next pending entry, or
 /// more == false when the batch is exhausted (after which the queue drops
@@ -99,7 +81,10 @@ class CalendarQueue {
   std::size_t size() const { return size_; }
 
   void push(EventRecord&& ev);
+  /// Minimum (time, seq) record, or nullptr when empty. The pointer is
+  /// invalidated by the next push/pop.
   const EventRecord* peek() const;
+  /// Remove and return the minimum record. Precondition: !empty().
   EventRecord pop();
 
   /// Current bucket count (tests observe resize behavior).
@@ -156,33 +141,6 @@ class CalendarQueue {
   // Peek cache (mutable: peek() is logically const).
   mutable Where cached_ = Where::kNone;
   mutable std::size_t cached_bucket_ = 0;
-};
-
-/// The simulator's pending-event set, behind a runtime SchedulerKind.
-class EventQueue {
- public:
-  explicit EventQueue(SchedulerKind kind) : kind_(kind) {}
-
-  SchedulerKind kind() const { return kind_; }
-  bool empty() const { return size() == 0; }
-  std::size_t size() const {
-    return kind_ == SchedulerKind::kHeap ? heap_.size() : cal_.size();
-  }
-
-  void push(EventRecord&& ev);
-  /// Minimum (time, seq) record, or nullptr when empty. The pointer is
-  /// invalidated by the next push/pop.
-  const EventRecord* peek() const;
-  EventRecord pop();
-
- private:
-  static bool heap_after(const EventRecord& a, const EventRecord& b) {
-    return b.before(a);  // max-heap comparator -> min at front
-  }
-
-  SchedulerKind kind_;
-  std::vector<EventRecord> heap_;
-  CalendarQueue cal_;
 };
 
 }  // namespace citymesh::sim

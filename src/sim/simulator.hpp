@@ -2,11 +2,9 @@
 //
 // Replaces the paper's SimPy harness. Events are (time, sequence) ordered —
 // ties break on insertion order, so runs are deterministic for a given seed.
-// The pending set lives in an EventQueue (sim/scheduler.hpp): a binary heap
-// or a calendar queue, selected per simulator by SchedulerKind; both realize
-// the identical total order, so the choice never affects behavior or
-// determinism digests. The engine knows nothing about radios — the broadcast
-// medium (medium.hpp) and the protocol agents are layered on top.
+// The pending set lives in a CalendarQueue (sim/scheduler.hpp). The engine
+// knows nothing about radios — the broadcast medium (medium.hpp) and the
+// protocol agents are layered on top.
 //
 // Handlers are stored inline in the event record (sim/handler.hpp), so
 // scheduling an ordinary closure performs no allocation. The schedule_*
@@ -33,10 +31,7 @@ class Simulator {
   using EventId = std::uint64_t;
   static constexpr EventId kInvalidEvent = std::numeric_limits<EventId>::max();
 
-  explicit Simulator(SchedulerKind scheduler = kDefaultScheduler) : queue_(scheduler) {}
-
   SimTime now() const { return now_; }
-  SchedulerKind scheduler_kind() const { return queue_.kind(); }
 
   /// Schedule `fn` at absolute time `t` (must be >= now()).
   template <typename F>
@@ -150,7 +145,7 @@ class Simulator {
   std::size_t processed_ = 0;
   std::uint64_t cancel_misses_ = 0;
   obsx::Histogram* latency_ = nullptr;
-  EventQueue queue_;
+  CalendarQueue queue_;
   // Cancelable-event bookkeeping; both empty unless schedule_cancelable_*
   // is used, so the run loop pays only an empty() branch per event.
   std::unordered_set<EventId> cancelable_;  ///< scheduled, not yet run/cancelled

@@ -1,13 +1,23 @@
 #include "trafficx/spec.hpp"
 
 #include <charconv>
+#include <cmath>
 #include <istream>
+#include <limits>
 #include <sstream>
 #include <vector>
 
 namespace citymesh::trafficx {
 
 namespace {
+
+/// True when `v` truncates to a value of the unsigned integer type T; the
+/// cast is undefined behavior otherwise. 2^digits is exact as a double, so
+/// the upper bound is exclusive.
+template <typename T>
+bool fits(double v) {
+  return v >= 0.0 && v < std::ldexp(1.0, std::numeric_limits<T>::digits);
+}
 
 /// Token cursor over one spec line (same shape as faultx's parser).
 class Cursor {
@@ -27,7 +37,10 @@ class Cursor {
     if (done()) return false;
     const std::string& s = tokens_[pos_];
     const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), out);
-    if (ec != std::errc{} || ptr != s.data() + s.size()) return false;
+    // from_chars also accepts "inf" and "nan"; no spec value may be either.
+    if (ec != std::errc{} || ptr != s.data() + s.size() || !std::isfinite(out)) {
+      return false;
+    }
     ++pos_;
     return true;
   }
@@ -48,7 +61,8 @@ bool parse_spatial(Cursor& cur, WorkloadSpec& spec) {
       if (*mode != SpatialMode::kHotspot || !cur.number(v) || v <= 0.0) return false;
       spec.hotspot_bias = v;
     } else if (cur.accept("origin")) {
-      if (*mode != SpatialMode::kEmergency || !cur.number(v) || v < 0.0) return false;
+      if (*mode != SpatialMode::kEmergency || !cur.number(v)) return false;
+      if (!fits<osmx::BuildingId>(v)) return false;
       spec.emergency_origin = static_cast<osmx::BuildingId>(v);
     } else {
       return false;
@@ -65,7 +79,7 @@ bool parse_line(Cursor& cur, WorkloadSpec& spec) {
     return cur.done();
   }
   if (cur.accept("seed")) {
-    if (!cur.number(v) || v < 0.0) return false;
+    if (!cur.number(v) || !fits<std::uint64_t>(v)) return false;
     spec.seed = static_cast<std::uint64_t>(v);
     return cur.done();
   }
@@ -85,6 +99,7 @@ bool parse_line(Cursor& cur, WorkloadSpec& spec) {
     if (!cur.number(lo) || lo < 1.0) return false;
     hi = lo;
     if (!cur.done() && (!cur.number(hi) || hi < lo)) return false;
+    if (!fits<std::size_t>(hi)) return false;
     spec.payload_min_bytes = static_cast<std::size_t>(lo);
     spec.payload_max_bytes = static_cast<std::size_t>(hi);
     return cur.done();

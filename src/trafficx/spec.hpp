@@ -14,6 +14,8 @@
 // `spatial uniform` takes no clause; `bias` (hotspot) and `origin`
 // (emergency) are optional and default per WorkloadSpec. `payload MIN MAX`
 // sets the uniform payload-size range in bytes (one value = fixed size).
+// Numbers must be finite ("inf" and "nan" are rejected), and values stored
+// as integers (seed, origin, payload) must fit their integer type.
 #pragma once
 
 #include <iosfwd>

@@ -13,6 +13,7 @@ namespace osmx = citymesh::osmx;
 namespace geo = citymesh::geo;
 namespace wire = citymesh::wire;
 namespace cryptox = citymesh::cryptox;
+namespace relayx = citymesh::relayx;
 
 namespace {
 
@@ -415,7 +416,7 @@ TEST(Suppression, ReducesTransmissionsAtEqualDelivery) {
   }
   {
     auto cfg = base_cfg;
-    cfg.building_suppression = true;
+    cfg.relay.kind = relayx::PolicyKind::kBuildingBackoff;
     core::CityMeshNetwork net{city, cfg};
     const auto keys = cryptox::KeyPair::from_seed(7);
     const auto info = core::PostboxInfo::for_key(keys, dst);
@@ -432,7 +433,7 @@ TEST(Suppression, ReducesTransmissionsAtEqualDelivery) {
 TEST(Suppression, TraceStillConsistent) {
   const auto city = row_city(12, 20.0);
   auto cfg = fast_config();
-  cfg.building_suppression = true;
+  cfg.relay.kind = relayx::PolicyKind::kBuildingBackoff;
   core::CityMeshNetwork net{city, cfg};
   const auto keys = cryptox::KeyPair::from_seed(8);
   const auto info = core::PostboxInfo::for_key(keys, 11);

@@ -553,6 +553,20 @@ TEST(ScenarioSpec, ErrorNamesOffendingLine) {
   EXPECT_NE(error.find("line 2"), std::string::npos) << error;
 }
 
+TEST(ScenarioSpec, RejectsNonFiniteAndOutOfRangeNumbersWithLineNumber) {
+  for (const char* line :
+       {"seed nan", "seed 1e30", "blackout rect 0 0 inf 10",
+        "blackout rect 0 0 10 10 stages 1e30", "blackout rect 0 0 10 10 at nan",
+        "degrade rect 0 0 10 10 loss nan", "churn frac 0.1 up inf",
+        "checkpoints 0 nan 5"}) {
+    std::string error;
+    const auto parsed =
+        faultx::parse_scenario(std::string{"name ok\n"} + line + "\n", &error);
+    EXPECT_FALSE(parsed.has_value()) << line;
+    EXPECT_NE(error.find("line 2"), std::string::npos) << line << ": " << error;
+  }
+}
+
 TEST(ScenarioSpec, RejectsUnknownDirective) {
   std::string error;
   EXPECT_FALSE(faultx::parse_scenario(std::string{"earthquake 5\n"}, &error).has_value());

@@ -1,9 +1,8 @@
 // Tests for the relayx rebroadcast-suppression subsystem (PR 6): policy
 // decision semantics against synthetic receptions, seeded determinism,
 // flood's byte-identity guarantees (no extra metrics keys, no trace events,
-// no policy state), the legacy building_suppression alias, cancelable
-// simulator events, and sweep-digest invariance across worker counts with a
-// non-flood policy active.
+// no policy state), cancelable simulator events, and sweep-digest
+// invariance across worker counts with a non-flood policy active.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -588,34 +587,6 @@ TEST(NetworkRelay, SuppressionPolicyBindsCountersAndEmitsTrace) {
   }
   EXPECT_EQ(elected, policy.scheduled());
   EXPECT_EQ(suppressed, policy.cancelled());
-}
-
-TEST(NetworkRelay, LegacyAliasMatchesExplicitBuildingBackoff) {
-  const auto city = dense_town();
-  auto base = fast_config();
-  base.placement.density_per_m2 = 1.0 / 40.0;
-  const auto dst = static_cast<core::BuildingId>(city.building_count() - 6);
-
-  auto run_one = [&](const core::NetworkConfig& cfg) {
-    core::CityMeshNetwork net{city, cfg};
-    const auto keys = cryptox::KeyPair::from_seed(7);
-    const auto info = core::PostboxInfo::for_key(keys, dst);
-    net.register_postbox(info);
-    const auto out = net.send(2, info, bytes_of("x"));
-    return std::pair{out, net.metrics().snapshot()};
-  };
-
-  auto legacy_cfg = base;
-  legacy_cfg.building_suppression = true;
-  auto explicit_cfg = base;
-  explicit_cfg.relay.kind = relayx::PolicyKind::kBuildingBackoff;
-
-  const auto [legacy, legacy_snap] = run_one(legacy_cfg);
-  const auto [direct, direct_snap] = run_one(explicit_cfg);
-  EXPECT_EQ(legacy.delivered, direct.delivered);
-  EXPECT_EQ(legacy.delivery_time_s, direct.delivery_time_s);
-  EXPECT_EQ(legacy.transmissions, direct.transmissions);
-  EXPECT_EQ(legacy_snap, direct_snap);
 }
 
 TEST(NetworkRelay, CounterGossipStillDeliversWithFewerTransmissions) {

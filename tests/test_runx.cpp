@@ -208,6 +208,17 @@ TEST(RunxSweep, RejectsBadLinesWithLineNumber) {
   EXPECT_FALSE(runx::parse_sweep("cities boston\nseeds nope\n", &error));
 }
 
+TEST(RunxSweep, RejectsNonFiniteAndOutOfRangeNumbersWithLineNumber) {
+  for (const char* line :
+       {"seeds 1 nan", "seeds inf", "seeds 1e20", "pairs 1e30", "deliver inf",
+        "pairs nan"}) {
+    std::string error;
+    EXPECT_FALSE(runx::parse_sweep(std::string{"cities boston\n"} + line + "\n", &error))
+        << line;
+    EXPECT_NE(error.find("line 2"), std::string::npos) << line << ": " << error;
+  }
+}
+
 TEST(RunxSweep, ExpandsCityMajorWithDefaults) {
   std::string error;
   const auto spec = runx::parse_sweep("cities a b\n", &error);

@@ -1,32 +1,27 @@
 // Differential lockdown for the allocation-free event hot path (sim/):
 //
-//  - the calendar-queue scheduler against the binary heap, over randomized
-//    schedule / cancel / reschedule streams (the two must realize the
-//    identical (time, seq) total order, cancel accounting included);
+//  - the calendar-queue Simulator against a test-local binary-heap
+//    reference, over randomized schedule / cancel / reschedule streams (the
+//    two must realize the identical (time, seq) total order, cancel
+//    accounting included);
 //  - batched medium delivery against per-reception scheduling;
-//  - the block/packet pools and inline handler storage;
-//  - the resumable-Dijkstra route cache against independent targeted runs;
-//  - end-to-end manifest identity across {heap, calendar} x {pooled,
-//    malloc'd} x shard counts (the golden-digest guarantee in test form).
+//  - inline handler storage;
+//  - the resumable-Dijkstra route cache against independent targeted runs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
-#include <limits>
+#include <functional>
 #include <memory>
-#include <string>
+#include <unordered_set>
 #include <vector>
 
-#include "core/network.hpp"
-#include "core/packet_pool.hpp"
 #include "core/route_planner.hpp"
 #include "geo/rng.hpp"
 #include "graphx/graph.hpp"
 #include "graphx/shortest_path.hpp"
-#include "runx/city_cache.hpp"
-#include "runx/sweep.hpp"
 #include "sim/medium.hpp"
-#include "sim/pool.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/simulator.hpp"
 
@@ -34,6 +29,76 @@ namespace citymesh {
 namespace {
 
 // ------------------------------------------- scheduler differential ---------
+
+/// Reference engine for the differential: a plain binary heap over
+/// (time, seq) with the Simulator's cancel semantics — a cancelled event
+/// keeps its slot, advances now() and counts as processed, but its handler
+/// is dropped.
+class HeapSimulator {
+ public:
+  using EventId = std::uint64_t;
+
+  double now() const { return now_; }
+
+  void schedule_at(double t, std::function<void()> fn) {
+    heap_.push_back({t, next_seq_++, std::move(fn)});
+    std::push_heap(heap_.begin(), heap_.end(), &later);
+  }
+  void schedule_in(double delay, std::function<void()> fn) {
+    schedule_at(now_ + delay, std::move(fn));
+  }
+  EventId schedule_cancelable_at(double t, std::function<void()> fn) {
+    const EventId id = next_seq_;
+    schedule_at(t, std::move(fn));
+    cancelable_.insert(id);
+    return id;
+  }
+  bool cancel(EventId id) {
+    if (cancelable_.erase(id) == 0) {
+      ++cancel_misses_;
+      return false;
+    }
+    cancelled_.insert(id);
+    return true;
+  }
+
+  std::size_t run() {
+    std::size_t count = 0;
+    while (!heap_.empty()) {
+      std::pop_heap(heap_.begin(), heap_.end(), &later);
+      Event ev = std::move(heap_.back());
+      heap_.pop_back();
+      now_ = ev.time;
+      ++count;
+      if (cancelled_.erase(ev.seq) > 0) continue;
+      cancelable_.erase(ev.seq);
+      ev.fn();
+    }
+    return count;
+  }
+
+  std::uint64_t cancel_misses() const { return cancel_misses_; }
+  std::size_t cancelable_pending() const { return cancelable_.size(); }
+
+ private:
+  struct Event {
+    double time;
+    std::uint64_t seq;
+    std::function<void()> fn;
+  };
+  /// Max-heap comparator, so the minimum (time, seq) sits at front().
+  static bool later(const Event& a, const Event& b) {
+    if (a.time != b.time) return a.time > b.time;
+    return a.seq > b.seq;
+  }
+
+  std::vector<Event> heap_;
+  double now_ = 0.0;
+  std::uint64_t next_seq_ = 0;
+  std::uint64_t cancel_misses_ = 0;
+  std::unordered_set<EventId> cancelable_;
+  std::unordered_set<EventId> cancelled_;
+};
 
 /// One fired event: when it ran and which scripted op it was.
 struct Fired {
@@ -51,17 +116,18 @@ struct Execution {
   std::size_t cancelable_pending = 0;
 };
 
-/// Replay one randomized schedule/cancel/reschedule stream on `kind`.
-/// The script is derived purely from `seed`, so both queue kinds see the
+/// Replay one randomized schedule/cancel/reschedule stream on engine `Sim`.
+/// The script is derived purely from `seed`, so both engines see the
 /// byte-identical op stream. Times are drawn from a quantized grid to force
 /// frequent ties (the FIFO tie-break is the part a calendar queue gets
 /// wrong first), handlers re-schedule children mid-run, and cancellers
 /// fire from inside the run so some cancels chase already-fired events.
-Execution replay(sim::SchedulerKind kind, std::uint64_t seed, std::size_t events) {
-  sim::Simulator s{kind};
+template <typename Sim>
+Execution replay(std::uint64_t seed, std::size_t events) {
+  Sim s;
   Execution out;
   std::uint64_t state = seed;
-  std::vector<sim::Simulator::EventId> tokens;
+  std::vector<typename Sim::EventId> tokens;
   tokens.reserve(events);
 
   const auto grid_time = [&state]() {
@@ -94,7 +160,7 @@ Execution replay(sim::SchedulerKind kind, std::uint64_t seed, std::size_t events
     } else if (!tokens.empty()) {
       // A canceller event: cancels a previously issued token when it runs.
       // Depending on the draw it fires before or after its target — the
-      // latter must count as a miss, identically on both queues.
+      // latter must count as a miss, identically on both engines.
       const std::size_t victim = geo::splitmix64(state) % tokens.size();
       const auto id = tokens[victim];
       s.schedule_at(t, [&s, id] { s.cancel(id); });
@@ -114,8 +180,8 @@ Execution replay(sim::SchedulerKind kind, std::uint64_t seed, std::size_t events
 
 TEST(SchedulerDifferential, CalendarMatchesHeapOnRandomizedStreams) {
   for (const std::uint64_t seed : {11ull, 22ull, 33ull, 44ull, 55ull}) {
-    const Execution heap = replay(sim::SchedulerKind::kHeap, seed, 10'000);
-    const Execution cal = replay(sim::SchedulerKind::kCalendar, seed, 10'000);
+    const Execution heap = replay<HeapSimulator>(seed, 10'000);
+    const Execution cal = replay<sim::Simulator>(seed, 10'000);
     ASSERT_EQ(heap.log.size(), cal.log.size()) << "seed " << seed;
     for (std::size_t i = 0; i < heap.log.size(); ++i) {
       ASSERT_EQ(heap.log[i], cal.log[i])
@@ -128,38 +194,36 @@ TEST(SchedulerDifferential, CalendarMatchesHeapOnRandomizedStreams) {
 }
 
 TEST(SchedulerDifferential, PopOrderMatchesSortedReferenceAcrossMagnitudes) {
-  // Raw EventQueue check with pathological time distributions: denormal-ish,
-  // zero, identical, and overflow-bucket times in one queue.
-  for (const auto kind : {sim::SchedulerKind::kHeap, sim::SchedulerKind::kCalendar}) {
-    sim::EventQueue q{kind};
-    std::uint64_t state = 99;
-    std::vector<std::pair<double, std::uint64_t>> reference;
-    std::uint64_t seq = 0;
-    const double magnitudes[] = {0.0,   1e-9,  1.0,   1.0,  3.5,
-                                 1e4,   1e9,   1e300, 5e-7, 2.5};
-    for (int round = 0; round < 500; ++round) {
-      const double t = magnitudes[geo::splitmix64(state) % 10];
-      q.push({t, seq, nullptr, sim::InlineFn{}});
-      reference.emplace_back(t, seq);
-      ++seq;
-      // Interleave pops so the queue's floor moves while inserts continue.
-      if (round % 5 == 4) {
-        const sim::EventRecord rec = q.pop();
-        std::sort(reference.begin(), reference.end());
-        EXPECT_EQ(rec.time, reference.front().first);
-        EXPECT_EQ(rec.seq, reference.front().second);
-        reference.erase(reference.begin());
-      }
-    }
-    std::sort(reference.begin(), reference.end());
-    for (const auto& [t, expect_seq] : reference) {
-      ASSERT_FALSE(q.empty());
+  // Raw CalendarQueue check with pathological time distributions:
+  // denormal-ish, zero, identical, and overflow-bucket times in one queue.
+  sim::CalendarQueue q;
+  std::uint64_t state = 99;
+  std::vector<std::pair<double, std::uint64_t>> reference;
+  std::uint64_t seq = 0;
+  const double magnitudes[] = {0.0,   1e-9,  1.0,   1.0,  3.5,
+                               1e4,   1e9,   1e300, 5e-7, 2.5};
+  for (int round = 0; round < 500; ++round) {
+    const double t = magnitudes[geo::splitmix64(state) % 10];
+    q.push({t, seq, nullptr, sim::InlineFn{}});
+    reference.emplace_back(t, seq);
+    ++seq;
+    // Interleave pops so the queue's floor moves while inserts continue.
+    if (round % 5 == 4) {
       const sim::EventRecord rec = q.pop();
-      EXPECT_EQ(rec.time, t);
-      EXPECT_EQ(rec.seq, expect_seq);
+      std::sort(reference.begin(), reference.end());
+      EXPECT_EQ(rec.time, reference.front().first);
+      EXPECT_EQ(rec.seq, reference.front().second);
+      reference.erase(reference.begin());
     }
-    EXPECT_TRUE(q.empty());
   }
+  std::sort(reference.begin(), reference.end());
+  for (const auto& [t, expect_seq] : reference) {
+    ASSERT_FALSE(q.empty());
+    const sim::EventRecord rec = q.pop();
+    EXPECT_EQ(rec.time, t);
+    EXPECT_EQ(rec.seq, expect_seq);
+  }
+  EXPECT_TRUE(q.empty());
 }
 
 // ---------------------------------------------- batched medium delivery -----
@@ -192,8 +256,8 @@ graphx::Graph probe_topology() {
 
 /// Fire a burst of overlapping broadcasts (with loss + jitter draws and a
 /// down node) and record every delivery the handler sees.
-std::vector<Delivery> run_medium(bool batched, sim::SchedulerKind kind) {
-  sim::Simulator s{kind};
+std::vector<Delivery> run_medium(bool batched) {
+  sim::Simulator s;
   const graphx::Graph topo = probe_topology();
   sim::MediumConfig cfg;
   cfg.loss_probability = 0.25;
@@ -227,83 +291,15 @@ std::vector<Delivery> run_medium(bool batched, sim::SchedulerKind kind) {
 }
 
 TEST(BatchedDelivery, MatchesPerReceptionSchedulingExactly) {
-  const std::vector<Delivery> reference =
-      run_medium(/*batched=*/false, sim::SchedulerKind::kHeap);
-  for (const bool batched : {false, true}) {
-    for (const auto kind : {sim::SchedulerKind::kHeap, sim::SchedulerKind::kCalendar}) {
-      const std::vector<Delivery> log = run_medium(batched, kind);
-      ASSERT_EQ(log.size(), reference.size())
-          << "batched=" << batched << " kind=" << sim::to_string(kind);
-      for (std::size_t i = 0; i < log.size(); ++i) {
-        ASSERT_EQ(log[i], reference[i])
-            << "batched=" << batched << " kind=" << sim::to_string(kind)
-            << " delivery " << i;
-      }
-    }
+  const std::vector<Delivery> reference = run_medium(/*batched=*/false);
+  const std::vector<Delivery> log = run_medium(/*batched=*/true);
+  ASSERT_EQ(log.size(), reference.size());
+  for (std::size_t i = 0; i < log.size(); ++i) {
+    ASSERT_EQ(log[i], reference[i]) << "delivery " << i;
   }
 }
 
-// --------------------------------------------------------------- pools ------
-
-TEST(BlockPool, ExhaustionFallsBackToHeapCounted) {
-  sim::BlockPool pool{64, 4};
-  std::vector<void*> blocks;
-  for (int i = 0; i < 6; ++i) blocks.push_back(pool.acquire(48));
-  const sim::PoolStats stats = pool.stats();
-  EXPECT_EQ(stats.acquires, 6u);
-  EXPECT_EQ(stats.fallbacks, 2u);  // capacity 4, requests 6
-  EXPECT_EQ(stats.in_use, 6u);
-  EXPECT_EQ(stats.peak_in_use, 6u);
-  for (void* b : blocks) pool.release(b);
-  EXPECT_EQ(pool.stats().in_use, 0u);
-  EXPECT_EQ(pool.stats().releases, 6u);
-}
-
-TEST(BlockPool, OversizeRequestsUseHeap) {
-  sim::BlockPool pool{64, 4};
-  void* big = pool.acquire(4096);
-  EXPECT_FALSE(pool.owns(big));
-  EXPECT_EQ(pool.stats().fallbacks, 1u);
-  pool.release(big);
-  EXPECT_EQ(pool.stats().in_use, 0u);
-}
-
-TEST(BlockPool, DoubleReleaseThrows) {
-  sim::BlockPool pool{64, 2};
-  void* b = pool.acquire(16);
-  pool.release(b);
-  EXPECT_THROW(pool.release(b), std::logic_error);
-}
-
-TEST(BlockPool, SlotsAreRecycledLifo) {
-  sim::BlockPool pool{64, 2};
-  void* first = pool.acquire(16);
-  pool.release(first);
-  void* second = pool.acquire(16);
-  EXPECT_EQ(first, second);  // freelist is LIFO: warm block comes back first
-  pool.release(second);
-}
-
-TEST(PacketPool, ReusesBlocksAcrossPacketLifetimes) {
-  core::PacketPool pool{8};
-  {
-    std::vector<std::shared_ptr<const core::MeshPacket>> live;
-    for (std::uint32_t i = 0; i < 8; ++i) {
-      live.push_back(pool.make(core::MeshPacket{{1, 2, 3}, {4, 5}, i, nullptr}));
-      EXPECT_EQ(live.back()->trace_id, i);
-    }
-    EXPECT_EQ(pool.stats().fallbacks, 0u);
-  }
-  EXPECT_EQ(pool.stats().in_use, 0u);
-  // A second wave reuses the same slots; a wave past capacity falls back.
-  std::vector<std::shared_ptr<const core::MeshPacket>> wave;
-  for (std::uint32_t i = 0; i < 12; ++i)
-    wave.push_back(pool.make(core::MeshPacket{{}, {}, i, nullptr}));
-  const sim::PoolStats stats = pool.stats();
-  EXPECT_EQ(stats.acquires, 20u);
-  EXPECT_EQ(stats.fallbacks, 4u);
-  EXPECT_EQ(stats.in_use, 12u);
-}
+// ------------------------------------------------------ inline handlers ---
 
 TEST(InlineFn, SmallCapturesStayInline) {
   const std::uint64_t before = sim::InlineFn::heap_fallbacks();
@@ -384,57 +380,6 @@ TEST(IncrementalDijkstra, GrowsMonotonicallyAcrossTargets) {
     const auto& sp = inc.ensure(target);
     const auto fresh = graphx::dijkstra(g, 7, target);
     ASSERT_EQ(sp.path_to(target), fresh.path_to(target)) << "target " << target;
-  }
-}
-
-// ------------------------------------------------ end-to-end identity -------
-
-/// Manifest JSON of a tiny but full sweep (eval point over one generated
-/// city) under one scheduler/pool/shards configuration.
-std::string sweep_json(runx::CityCache& cache, sim::SchedulerKind scheduler,
-                       bool pooled, std::size_t shards) {
-  std::string error;
-  const auto spec =
-      runx::parse_sweep("name sched-identity\ncities cambridge\nseeds 1 2\n"
-                        "pairs 12\ndeliver 3\n",
-                        &error);
-  EXPECT_TRUE(spec) << error;
-  runx::SweepRunConfig config;
-  config.jobs = 1;
-  config.network.scheduler = scheduler;
-  config.network.pooled_packets = pooled;
-  config.network.shards = shards;
-  if (shards > 1) {
-    // Draw-free regime, where K = 1 and K >= 2 share digests (src/shardx).
-    config.network.medium.jitter_s = 0.0;
-    config.network.medium.loss_probability = 0.0;
-  }
-  const runx::SweepReport report = runx::run_sweep(*spec, cache, config);
-  EXPECT_EQ(report.errors, 0u);
-  return runx::sweep_manifest(*spec, report).to_json();
-}
-
-TEST(EndToEndIdentity, ManifestsIdenticalAcrossSchedulerAndPools) {
-  runx::CityCache cache;
-  const std::string reference =
-      sweep_json(cache, sim::SchedulerKind::kHeap, /*pooled=*/false, /*shards=*/1);
-  for (const auto kind : {sim::SchedulerKind::kHeap, sim::SchedulerKind::kCalendar}) {
-    for (const bool pooled : {false, true}) {
-      EXPECT_EQ(reference, sweep_json(cache, kind, pooled, 1))
-          << "kind=" << sim::to_string(kind) << " pooled=" << pooled;
-    }
-  }
-}
-
-TEST(EndToEndIdentity, ShardedManifestsIdenticalAcrossSchedulerAndPools) {
-  runx::CityCache cache;
-  const std::string reference =
-      sweep_json(cache, sim::SchedulerKind::kHeap, /*pooled=*/false, /*shards=*/4);
-  for (const auto kind : {sim::SchedulerKind::kHeap, sim::SchedulerKind::kCalendar}) {
-    for (const bool pooled : {false, true}) {
-      EXPECT_EQ(reference, sweep_json(cache, kind, pooled, 4))
-          << "kind=" << sim::to_string(kind) << " pooled=" << pooled;
-    }
   }
 }
 

@@ -133,6 +133,25 @@ TEST(WorkloadSpecText, ErrorNamesOffendingLine) {
   EXPECT_NE(error.find("line 2"), std::string::npos) << error;
 }
 
+TEST(WorkloadSpecText, RejectsNonFiniteAndOutOfRangeNumbersWithLineNumber) {
+  // from_chars accepts "inf"/"nan"; an infinite duration used to reach the
+  // schedule's reserve() and a NaN or 1e30 seed an undefined integer cast.
+  for (const char* line :
+       {"duration inf", "rate infinity", "seed nan", "seed -nan", "seed 1e30",
+        "seed 18446744073709551616", "spatial hotspot bias inf",
+        "spatial emergency origin 5e9", "payload 64 1e300", "payload nan"}) {
+    std::string error;
+    const auto spec =
+        trafficx::parse_workload(std::string{"name ok\n"} + line + "\n", &error);
+    EXPECT_FALSE(spec.has_value()) << line;
+    EXPECT_NE(error.find("line 2"), std::string::npos) << line << ": " << error;
+  }
+  // The largest double below 2^64 still fits a uint64 seed.
+  const auto edge = trafficx::parse_workload("seed 18446744073709549568\n");
+  ASSERT_TRUE(edge.has_value());
+  EXPECT_EQ(edge->seed, 18446744073709549568ull);
+}
+
 TEST(WorkloadSpecText, RejectsUnknownDirectiveAndBadClauses) {
   EXPECT_FALSE(trafficx::parse_workload("tempo 9\n").has_value());
   EXPECT_FALSE(trafficx::parse_workload("spatial sideways\n").has_value());

@@ -19,7 +19,6 @@
 //   --pairs N             reachability pairs        (default 1000)
 //   --deliver N           deliverability pairs      (default 50)
 //   --seed N              placement seed            (default 1)
-//   --suppression         enable same-building rebroadcast suppression
 //   --policy NAME         rebroadcast policy: flood (default),
 //                         building-backoff, counter-gossip, etx-priority
 //   --protocol NAME       live protocol family: conduit (default, the
@@ -109,7 +108,6 @@ struct Options {
   std::size_t pairs = 1000;
   std::size_t deliver = 50;
   std::uint64_t seed = 1;
-  bool suppression = false;
   std::string policy;  // relayx policy name; empty = flood (paper default)
   std::string protocol;  // core protocol name; empty = conduit (paper default)
   bool shadowed = false;
@@ -124,7 +122,6 @@ struct Options {
   std::size_t queue_slots = 8;
   std::size_t sweep_jobs = 1;
   std::size_t shards = 1;
-  sim::SchedulerKind scheduler = sim::kDefaultScheduler;
   std::string kind_filter;
   std::optional<std::uint32_t> node_filter;
   std::optional<std::uint32_t> packet_filter;
@@ -145,14 +142,13 @@ int usage() {
       "  sweep <spec-file>          run an experiment sweep grid (runx)\n"
       "  trace <file.jsonl>         validate / summarize / filter a trace\n"
       "options: --range M --density M2 --width M --pairs N --deliver N\n"
-      "         --seed N --suppression --policy NAME --protocol NAME\n"
+      "         --seed N --policy NAME --protocol NAME\n"
       "         --shadowed --osm FILE\n"
       "         --spec FILE --svg FILE (scenario)\n"
       "         --spec FILE --scenario FILE --bitrate BPS --queue N\n"
       "         --json FILE (load)\n"
       "         --jobs N --json FILE (sweep)\n"
       "         --shards N (tiled parallel engine; 1 = sequential legacy)\n"
-      "         --scheduler heap|calendar (event queue; digests identical)\n"
       "         --jitter S (per-delivery jitter seconds; 0 = draw-free)\n"
       "         --trace FILE (send/scenario/load)\n"
       "         --kind K --node N --packet P (trace)\n";
@@ -201,8 +197,6 @@ std::optional<Options> parse_options(int argc, char** argv, int first) {
       if (!v || !parse_u64(*v, opts.seed)) return std::nullopt;
     } else if (arg == "--bridge") {
       opts.positional.push_back("bridge");
-    } else if (arg == "--suppression") {
-      opts.suppression = true;
     } else if (arg == "--policy") {
       const auto v = next();
       if (!v || !relayx::policy_kind_from(*v)) {
@@ -259,12 +253,6 @@ std::optional<Options> parse_options(int argc, char** argv, int first) {
       const auto v = next();
       if (!v || !parse_u64(*v, n) || n == 0) return std::nullopt;
       opts.shards = n;
-    } else if (arg == "--scheduler") {
-      const auto v = next();
-      if (!v) return std::nullopt;
-      const auto kind = sim::scheduler_from(*v);
-      if (!kind) return std::nullopt;
-      opts.scheduler = *kind;
     } else if (arg == "--svg") {
       const auto v = next();
       if (!v) return std::nullopt;
@@ -323,9 +311,7 @@ core::NetworkConfig network_config(const Options& opts) {
       opts.shadowed ? mesh::LinkModel::kShadowed : mesh::LinkModel::kDisc;
   cfg.graph.transmission_range_m = opts.range_m;
   cfg.conduit.width_m = opts.width_m;
-  cfg.building_suppression = opts.suppression;
   cfg.shards = opts.shards;
-  cfg.scheduler = opts.scheduler;
   if (opts.jitter_s) cfg.medium.jitter_s = *opts.jitter_s;
   if (!opts.policy.empty()) {
     cfg.relay.kind = *relayx::policy_kind_from(opts.policy);
