@@ -1,48 +1,33 @@
-// Figure 10 (extension): scaling one metro-scale run with tiled parallel
-// simulation (src/shardx).
+// Figure 10 (extension): one metro-scale run on a ladder of growing cities.
 //
 // The paper simulates each city sequentially; a metro-scale fabric (tens of
-// thousands of APs under offered load) makes one run the bottleneck rather
-// than the sweep grid. This bench runs the same airtime-contention workload
-// on a ladder of growing synthetic cities with the engine partitioned into
-// K = 1/2/4/8 building-atomic tiles under conservative lookahead, and
-// reports wall clock, speedup over the sequential engine, and the number of
-// cross-tile handoffs exchanged at window barriers.
+// thousands of APs under offered load) makes one run's wall clock and
+// memory the quantities to watch. This bench runs the same airtime-
+// contention workload on a ladder of growing synthetic cities and reports,
+// per rung, the behavioral cells (offered flows, delivery rate,
+// transmissions, p50 latency) next to wall clock, events/s, the process
+// peak RSS (VmHWM) and the rung's additional peak bytes per AP.
 //
-// Correctness is part of the bench: the workload runs in the draw-free
-// regime (no jitter, no loss, flood relay), where every shard count must
-// produce identical behavior. Each row's behavioral cells (offered flows,
-// delivery rate, transmissions, p50 latency) fold into a per-shard-count
-// digest, and the bench *fails* (exit 1) if any K disagrees with K=1 on the
-// same city. Wall clock and speedup columns stay out of the digest — they
-// are the only cells allowed to vary between machines and shard counts.
+// The workload runs in the draw-free regime (no jitter, no loss, flood
+// relay). Only the behavioral cells fold into the determinism digest; wall
+// clock, events/s and memory vary between machines and stay outside it.
 //
-// Expected shape: >=2x speedup at 4 shards on >=4 hardware threads for the
-// larger rungs; on fewer cores the speedup column flattens toward 1x while
-// the digest check still bites. `--quick` shrinks the ladder for smoke/CI.
-//
-// Metro-memory columns: every row also reports the process peak RSS
-// (VmHWM), the row's additional peak bytes per AP, and the cumulative
-// barrier idle time (workers waiting for the slowest tile each window).
-// `--tiling grid|adaptive` selects the partitioner (default adaptive);
-// behavioral digests are invariant across modes, so the choice trades
-// barrier idle and wall clock only. VmHWM is monotonic, so on the full
-// ladder only the first row that lifts the process peak shows a nonzero
-// B/AP; `--rung NAME` restricts the ladder to one rung for a clean
-// fresh-process memory measurement of that city size.
+// VmHWM is monotonic, so on the full ladder only a row that lifts the
+// process peak shows a nonzero B/AP; `--rung NAME` restricts the ladder to
+// one rung for a clean fresh-process memory measurement of that city size.
+// `--quick` shrinks the ladder for smoke/CI.
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <iostream>
+#include <span>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_util.hpp"
 #include "core/network.hpp"
 #include "osmx/citygen.hpp"
-#include "shardx/tiling.hpp"
 #include "runx/city_cache.hpp"
 #include "trafficx/runner.hpp"
 #include "trafficx/workload.hpp"
@@ -56,7 +41,6 @@ namespace viz = citymesh::viz;
 
 namespace {
 
-constexpr std::size_t kShardCounts[] = {1, 2, 4, 8};
 constexpr std::uint64_t kWorkloadSeed = 1010;
 constexpr double kBitrateBps = 250e3;
 constexpr double kRatePerS = 4.0;
@@ -85,16 +69,12 @@ osmx::CityProfile rung_profile(const Rung& rung) {
 }
 
 // Draw-free regime: serialization timing is deterministic (finite bitrate,
-// zero jitter), nothing is lost, and the flood policy draws no randomness —
-// so the tiled engine must reproduce the sequential engine event for event.
-core::NetworkConfig network_config(std::size_t shards,
-                                   citymesh::shardx::TilingMode tiling) {
+// zero jitter), nothing is lost, and the flood policy draws no randomness.
+core::NetworkConfig network_config() {
   core::NetworkConfig config;
   config.placement.seed = 7;
   config.placement.density_per_m2 = 1.0 / 60.0;
   config.seed = 99;
-  config.shards = shards;
-  config.tiling = tiling;
   config.medium.bitrate_bps = kBitrateBps;
   config.medium.jitter_s = 0.0;
   config.medium.loss_probability = 0.0;
@@ -115,29 +95,11 @@ trafficx::WorkloadSpec workload_spec(double duration_s) {
 int main(int argc, char** argv) {
   citymesh::benchutil::ManifestEmitter emit{"fig10_scale", argc, argv};
   bool quick = false;
-  // Adaptive (event-rate-balanced) tiling is the default; --tiling grid
-  // selects the uniform centroid grid. The behavioral digest is invariant
-  // across modes — check.sh pins that by diffing the two.
-  citymesh::shardx::TilingMode tiling = citymesh::shardx::TilingMode::kAdaptive;
-  const char* tiling_name = "adaptive";
   const char* rung_filter = nullptr;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) quick = true;
     if (std::strcmp(argv[i], "--rung") == 0 && i + 1 < argc) {
       rung_filter = argv[i + 1];
-    }
-    if (std::strcmp(argv[i], "--tiling") == 0 && i + 1 < argc) {
-      if (std::strcmp(argv[i + 1], "grid") == 0) {
-        tiling = citymesh::shardx::TilingMode::kGrid;
-        tiling_name = "grid";
-      } else if (std::strcmp(argv[i + 1], "adaptive") == 0) {
-        tiling = citymesh::shardx::TilingMode::kAdaptive;
-        tiling_name = "adaptive";
-      } else {
-        std::cerr << "fig10_scale: unknown --tiling mode '" << argv[i + 1]
-                  << "' (grid|adaptive)\n";
-        return 2;
-      }
     }
   }
   const double duration_s = quick ? kQuickDurationS : kDurationS;
@@ -154,107 +116,65 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  std::cout << "CityMesh extension - Figure 10 (tiled parallel scaling)\n"
-            << "one workload per (city size, shard count); draw-free regime so\n"
-            << "every shard count must reproduce the sequential engine ("
-            << std::thread::hardware_concurrency() << " hardware thread(s), "
-            << tiling_name << " tiling" << (quick ? ", --quick ladder" : "")
-            << ")\n";
+  std::cout << "CityMesh extension - Figure 10 (metro scale ladder)\n"
+            << "one draw-free workload per city size"
+            << (quick ? " (--quick ladder)" : "") << "\n";
 
   emit.manifest().city = "ladder";
   emit.manifest().seeds["workload"] = kWorkloadSeed;
   emit.manifest().set_param("duration_s", duration_s);
   emit.manifest().set_param("bitrate_bps", kBitrateBps);
   emit.manifest().set_param("quick", quick ? std::uint64_t{1} : std::uint64_t{0});
-  emit.manifest().set_param("tiling_adaptive",
-                            tiling == citymesh::shardx::TilingMode::kAdaptive
-                                ? std::uint64_t{1}
-                                : std::uint64_t{0});
 
   runx::CityCache cache;
   std::vector<std::vector<std::string>> rows;
-  bool digest_ok = true;
   for (const Rung& rung : ladder) {
     const osmx::CityProfile profile = rung_profile(rung);
     emit.manifest().seeds[profile.name] = profile.seed;
-    // The compiled city is shard-count independent; all K share one compile.
-    const auto compiled = cache.get(profile, network_config(1, tiling));
+    const core::NetworkConfig config = network_config();
+    const auto compiled = cache.get(profile, config);
     const auto schedule =
         trafficx::compile(workload_spec(duration_s), compiled->city);
 
-    std::string baseline_digest;
-    double baseline_wall_s = 0.0;
-    for (const std::size_t shards : kShardCounts) {
-      const core::NetworkConfig config = network_config(shards, tiling);
-      // VmHWM delta across build + run = this row's additional peak RSS.
-      // The ladder ascends, so each rung's K=1 row grows the process peak
-      // and its bytes/AP is meaningful; repeat-K rows on the same rung fit
-      // inside the already-reached peak and read ~0. Memory cells (like
-      // wall clock) stay out of the behavioral digest.
-      const auto mem_before = citymesh::benchutil::read_mem_usage();
-      core::CityMeshNetwork network{compiled, config};
-      const auto t0 = std::chrono::steady_clock::now();
-      const auto run = trafficx::run_workload(network, schedule);
-      const double wall_s =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-              .count();
-      const auto mem_after = citymesh::benchutil::read_mem_usage();
-      const std::uint64_t hwm_delta_kib =
-          mem_after.vm_hwm_kib - mem_before.vm_hwm_kib;
-      const double bytes_per_ap =
-          static_cast<double>(hwm_delta_kib) * 1024.0 /
-          static_cast<double>(compiled->aps.ap_count());
-      const core::CapacitySummary& s = run.summary;
+    // VmHWM delta across build + run = this rung's additional peak RSS. The
+    // ladder ascends, so each rung grows the process peak and its bytes/AP
+    // is meaningful. Memory cells (like wall clock) stay out of the digest.
+    const auto mem_before = citymesh::benchutil::read_mem_usage();
+    core::CityMeshNetwork network{compiled, config};
+    const auto t0 = std::chrono::steady_clock::now();
+    const auto run = trafficx::run_workload(network, schedule);
+    const double wall_s =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+    const auto mem_after = citymesh::benchutil::read_mem_usage();
+    const std::uint64_t hwm_delta_kib = mem_after.vm_hwm_kib - mem_before.vm_hwm_kib;
+    const double bytes_per_ap = static_cast<double>(hwm_delta_kib) * 1024.0 /
+                                static_cast<double>(compiled->aps.ap_count());
+    const double events = static_cast<double>(network.simulator().events_processed());
+    const core::CapacitySummary& s = run.summary;
 
-      // Behavioral cells only — identical across shard counts by contract.
-      const std::vector<std::string> behavior = {
-          profile.name,
-          std::to_string(compiled->aps.ap_count()),
-          std::to_string(s.flows_offered),
-          viz::fmt(s.delivery_rate(), 3),
-          std::to_string(s.transmissions),
-          viz::fmt(s.latency_p50_s * 1e3, 2)};
-      citymesh::obsx::Fnv1a row_digest;
-      for (const auto& cell : behavior) row_digest.update(cell);
-      const std::string hex = citymesh::obsx::hex64(row_digest.digest());
-      if (shards == kShardCounts[0]) {
-        baseline_digest = hex;
-        baseline_wall_s = wall_s;
-      } else if (hex != baseline_digest) {
-        digest_ok = false;
-        std::cerr << "fig10_scale: " << profile.name << " shards=" << shards
-                  << " behavior digest " << hex << " != shards="
-                  << kShardCounts[0] << " digest " << baseline_digest << '\n';
-      }
-      for (const auto& cell : behavior) emit.row(cell);
-      emit.add_metrics(run.metrics);
+    // Behavioral cells only — the determinism digest.
+    std::vector<std::string> row = {profile.name,
+                                    std::to_string(compiled->aps.ap_count()),
+                                    std::to_string(s.flows_offered),
+                                    viz::fmt(s.delivery_rate(), 3),
+                                    std::to_string(s.transmissions),
+                                    viz::fmt(s.latency_p50_s * 1e3, 2)};
+    for (const auto& cell : row) emit.row(cell);
+    emit.add_metrics(run.metrics);
 
-      std::vector<std::string> row = behavior;
-      row.insert(row.begin() + 2, std::to_string(shards));
-      row.push_back(std::to_string(network.handoffs_exchanged()));
-      row.push_back(viz::fmt(wall_s, 3));
-      row.push_back(wall_s > 0.0 ? viz::fmt(baseline_wall_s / wall_s, 2) + "x"
-                                 : "-");
-      row.push_back(viz::fmt(static_cast<double>(mem_after.vm_hwm_kib) / 1024.0, 1));
-      row.push_back(viz::fmt(bytes_per_ap, 0));
-      row.push_back(viz::fmt(network.barrier_idle_s(), 3));
-      rows.push_back(std::move(row));
-    }
+    row.push_back(viz::fmt(wall_s, 3));
+    row.push_back(viz::fmt(static_cast<double>(mem_after.vm_hwm_kib) / 1024.0, 1));
+    row.push_back(viz::fmt(bytes_per_ap, 0));
+    row.push_back(wall_s > 0.0 ? viz::fmt(events / wall_s, 0) : "-");
+    rows.push_back(std::move(row));
   }
 
-  viz::print_table(std::cout, "Figure 10: tiled parallel scaling (shardx)",
-                   {"city", "aps", "shards", "offered", "deliver", "tx",
-                    "p50 ms", "handoffs", "wall s", "speedup", "peak MiB",
-                    "B/AP", "idle s"},
+  viz::print_table(std::cout, "Figure 10: metro scale ladder",
+                   {"city", "aps", "offered", "deliver", "tx", "p50 ms", "wall s",
+                    "peak MiB", "B/AP", "events/s"},
                    rows);
 
   std::cout << "\nDeterminism digest: " << emit.digest_hex()
-            << "  (behavioral cells only; identical for every shard count)\n"
-            << (digest_ok
-                    ? "Shard-count invariance: OK (every K matched K=1)\n"
-                    : "Shard-count invariance: FAILED (see stderr)\n")
-            << "Expected shape: speedup grows with city size and shard count up\n"
-            << "to the hardware thread count; handoffs grow with the cut size\n"
-            << "while the behavioral columns never move.\n";
-  return emit.finish(digest_ok ? 0 : 1);
+            << "  (behavioral cells only)\n";
+  return emit.finish(0);
 }

@@ -24,10 +24,10 @@
 // delivers where the planner's corridor misses, and under load its queue
 // penalty routes around the saturating hotspot.
 //
-// Composes with --jobs N (worker threads), --shards N (tiled engine inside
-// each run), --policy NAME (relayx policy: the conduit rebroadcast decision,
-// and QF-Geo's fallback-flood/geo-broadcast path), --scenario FILE, and
-// --quick. Rows and digest are byte-identical for any --jobs and --shards.
+// Composes with --jobs N (worker threads), --policy NAME (relayx policy: the
+// conduit rebroadcast decision, and QF-Geo's fallback-flood/geo-broadcast
+// path), --scenario FILE, and --quick. Rows and digest are byte-identical
+// for any --jobs.
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -81,19 +81,16 @@ constexpr std::uint64_t kWorkloadSeed = 1212;
 constexpr double kBlackoutFraction = 0.25;
 
 core::NetworkConfig network_config(core::Protocol protocol,
-                                   std::optional<relayx::PolicyKind> policy,
-                                   std::size_t shards) {
+                                   std::optional<relayx::PolicyKind> policy) {
   core::NetworkConfig config;
   config.placement.seed = 7;
   config.seed = 99;
   config.medium.bitrate_bps = kBitrateBps;
   config.medium.tx_queue_capacity = kQueueSlots;
-  // Draw-free regime (the fig10 discipline): zero jitter and zero loss is
-  // what makes rows identical across every --shards count, tiled or legacy.
+  // Draw-free regime (the fig10 discipline): zero jitter and zero loss.
   config.medium.jitter_s = 0.0;
   config.medium.loss_probability = 0.0;
   config.protocol = protocol;
-  config.shards = shards;
   if (policy) config.relay.kind = *policy;
   return config;
 }
@@ -139,7 +136,6 @@ int main(int argc, char** argv) {
   citymesh::benchutil::ManifestEmitter emit{"fig12_baselines", argc, argv};
   const std::size_t n_jobs = citymesh::benchutil::parse_jobs(argc, argv);
   bool quick = false;
-  std::size_t shards = 1;
   std::optional<relayx::PolicyKind> policy;
   std::string scenario_file;
   {
@@ -147,9 +143,6 @@ int main(int argc, char** argv) {
     for (int i = 1; i < argc; ++i) {
       if (std::strcmp(argv[i], "--quick") == 0) {
         quick = true;
-      } else if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
-        shards = static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
-        if (shards == 0) shards = 1;
       } else if (std::strcmp(argv[i], "--policy") == 0 && i + 1 < argc) {
         policy = relayx::policy_kind_from(argv[++i]);
         if (!policy) {
@@ -191,7 +184,6 @@ int main(int argc, char** argv) {
   std::cout << "CityMesh extension - Figure 12 (conduit vs QF-Geo baselines)\n"
             << "both live protocol families over the eval / blackout / load"
                " matrix (" << runx::resolve_jobs(n_jobs) << " worker thread(s)"
-            << (shards > 1 ? ", " + std::to_string(shards) + " tiles/run" : "")
             << (quick ? ", --quick grid" : "") << ")\n";
 
   std::vector<osmx::CityProfile> profiles;
@@ -210,8 +202,8 @@ int main(int argc, char** argv) {
   emit.manifest().set_param("quick", quick ? std::uint64_t{1} : std::uint64_t{0});
   if (policy) emit.manifest().set_param("policy", relayx::to_string(*policy));
   if (!scenario_file.empty()) emit.manifest().set_param("scenario", scenario_file);
-  // --jobs and --shards are deliberately NOT recorded: manifests from any
-  // worker/tile count must stay byte-identical (wall_clock_s aside).
+  // --jobs is deliberately NOT recorded: manifests from any worker count
+  // must stay byte-identical (wall_clock_s aside).
 
   // One run per (city, protocol, cell). The compiled mesh is shared through
   // the cache (neither the protocol nor the relay policy keys the compile);
@@ -247,7 +239,7 @@ int main(int argc, char** argv) {
     const std::size_t c = local % cells.size();
     const Cell cell = cells[c];
 
-    const core::NetworkConfig config = network_config(protocol, policy, shards);
+    const core::NetworkConfig config = network_config(protocol, policy);
     const auto compiled = cache.get(profile, config);
 
     runx::RunResult result;
@@ -362,7 +354,7 @@ int main(int argc, char** argv) {
   citymesh::benchutil::digest_rows(emit, rows);
   citymesh::benchutil::digest_rows(emit, duel);
   std::cout << "\nDeterminism digest: " << emit.digest_hex()
-            << "  (same seed => same digest for any --jobs/--shards)\n"
+            << "  (same seed => same digest for any --jobs)\n"
             << "Expected shape: conduit's corridor scopes the flood tighter\n"
             << "(lower overhead); QF-Geo's plan-free region delivers where the\n"
             << "corridor misses and its queue penalty defers around hotspots.\n";

@@ -28,7 +28,6 @@
 #include "relayx/policy.hpp"
 #include "runx/city_cache.hpp"
 #include "runx/engine.hpp"
-#include "shardx/tiling.hpp"
 #include "sim/medium.hpp"
 #include "sim/simulator.hpp"
 #include "trafficx/workload.hpp"
@@ -450,61 +449,6 @@ static void BM_MediumFanout(benchmark::State& state) {
   state.SetLabel(batched ? "batched" : "per-reception");
 }
 BENCHMARK(BM_MediumFanout)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
-
-// --------------------------------------------------------------- shardx ---
-
-// The per-barrier handoff exchange primitive the tiled engine (src/shardx +
-// core::CityMeshNetwork::run_tiled) pays per cross-tile reception: sort the
-// drained outboxes into the deterministic (time, src_tile, seq) ingestion
-// order, then schedule each into the destination tile's simulator without
-// touching the latency histogram. Bounds the cost of chatty tile cuts.
-static void BM_ShardxHandoffEnqueue(benchmark::State& state) {
-  constexpr std::size_t kBatch = 512;
-  struct Handoff {
-    double time_s;
-    std::uint32_t src_tile;
-    std::uint64_t seq;
-  };
-  geo::Rng rng{11};
-  std::vector<Handoff> outbox;
-  for (std::size_t i = 0; i < kBatch; ++i) {
-    outbox.push_back({1.0 + rng.uniform(0.0, 1e-3),
-                      static_cast<std::uint32_t>(rng.uniform_int(8)), i});
-  }
-  std::vector<Handoff> batch;
-  for (auto _ : state) {
-    citymesh::sim::Simulator dst;
-    batch = outbox;
-    std::sort(batch.begin(), batch.end(), [](const Handoff& a, const Handoff& b) {
-      if (a.time_s != b.time_s) return a.time_s < b.time_s;
-      if (a.src_tile != b.src_tile) return a.src_tile < b.src_tile;
-      return a.seq < b.seq;
-    });
-    for (const auto& h : batch) dst.schedule_at_unrecorded(h.time_s, [] {});
-    benchmark::DoNotOptimize(dst.next_time());
-  }
-  state.SetItemsProcessed(state.iterations() * kBatch);
-}
-BENCHMARK(BM_ShardxHandoffEnqueue);
-
-// Tiling + lookahead-window computation for a real city: the one-time setup
-// price of the tiled engine (grid partition, cut-edge enumeration, min cut
-// delay). Paid once per network construction, amortized over the whole run.
-static void BM_ShardxPlanAndLookahead(benchmark::State& state) {
-  const core::BuildingGraph& map = boston_map();
-  const auto& net = boston_aps();
-  const std::size_t shards = static_cast<std::size_t>(state.range(0));
-  std::size_t cuts = 0;
-  for (auto _ : state) {
-    const auto plan = citymesh::shardx::plan_tiles(
-        map.centroid_grid(), map.building_count(), net, shards);
-    cuts = plan.cross.size();
-    benchmark::DoNotOptimize(
-        citymesh::shardx::lookahead_s(plan.cross, 1e-3, 3.34e-9));
-  }
-  state.SetLabel(std::to_string(cuts) + " cut edges");
-}
-BENCHMARK(BM_ShardxPlanAndLookahead)->Arg(4)->Arg(16)->Unit(benchmark::kMillisecond);
 
 // -------------------------------------------------------------- traffic ---
 

@@ -93,11 +93,6 @@ class ApAgent {
     return st != nullptr ? st->behavior(slot_) : AgentBehavior::kNormal;
   }
 
-  /// Repoint the compile service (tiled runs, src/shardx: each tile's agents
-  /// share that tile's compiler so reception-time memo lookups and counter
-  /// increments never cross threads). nullptr reverts to a lazy private one.
-  void set_compiler(MessageCompiler* compiler) { compiler_ = compiler; }
-
   /// Repoint the mutable state into a shared slab at `slot` (the AP id, for
   /// network-owned slabs). The slab must outlive the agent.
   void set_state(AgentStateSlab* slab, std::uint32_t slot) {

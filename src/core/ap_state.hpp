@@ -10,16 +10,14 @@
 //
 //   - behavior:   one byte per AP
 //   - seen count: one uint32 per AP (diagnostics; the membership test lives
-//                 in the striped dup filter below)
-//   - dup filter: hash sets of (message_id << 32 | ap) keys, striped by
-//                 tile so each shardx worker thread only ever touches its
-//                 own stripe — the cross-AP sharing that makes the set
-//                 cheap is also what would make a single set a data race
+//                 in the dup filter below)
+//   - dup filter: one hash set of (message_id << 32 | ap) keys shared by
+//                 every AP
 //   - postboxes:  intrusive chains through one shared entry slab; APs
 //                 hosting nothing (almost all of them) pay 4 bytes
 //
-// One slab serves the whole network across all tile shards; ApAgent keeps
-// only immutable identity plus a (slab, slot) reference.
+// One slab serves the whole network; ApAgent keeps only immutable identity
+// plus a (slab, slot) reference.
 #pragma once
 
 #include <cstdint>
@@ -42,8 +40,7 @@ class AgentStateSlab {
   explicit AgentStateSlab(std::size_t ap_count)
       : behavior_(ap_count, AgentBehavior::kNormal),
         seen_counts_(ap_count, 0),
-        postbox_head_(ap_count, kNone),
-        stripes_(1) {}
+        postbox_head_(ap_count, kNone) {}
 
   std::size_t ap_count() const { return behavior_.size(); }
 
@@ -53,35 +50,15 @@ class AgentStateSlab {
   /// Duplicate suppression: records the sighting and returns true on the
   /// first time (ap, message_id) is seen, false for a duplicate.
   bool mark_seen(std::uint32_t ap, std::uint32_t message_id) {
-    auto& stripe = stripes_[ap_stripe_ != nullptr ? ap_stripe_[ap] : 0];
     const std::uint64_t key =
         (static_cast<std::uint64_t>(message_id) << 32) | ap;
-    if (!stripe.insert(key).second) return false;
+    if (!seen_.insert(key).second) return false;
     ++seen_counts_[ap];
     return true;
   }
 
   /// Number of distinct messages this AP has seen (diagnostics).
   std::size_t seen_count(std::uint32_t ap) const { return seen_counts_[ap]; }
-
-  /// Stripe the dup filter for tiled runs: `ap_stripe[ap]` names the stripe
-  /// (tile) whose owning thread is the only one that ever processes that
-  /// AP's receptions. The table must outlive the slab (shardx's TilePlan
-  /// does). Must be called before any mark_seen in the tiled regime, and
-  /// carries existing sightings over so a mid-run re-stripe cannot
-  /// un-duplicate messages.
-  void set_stripes(const std::uint32_t* ap_stripe, std::size_t stripe_count) {
-    std::vector<std::unordered_set<std::uint64_t>> fresh(
-        stripe_count > 0 ? stripe_count : 1);
-    for (const auto& stripe : stripes_) {
-      for (const std::uint64_t key : stripe) {
-        const std::uint32_t ap = static_cast<std::uint32_t>(key);
-        fresh[ap_stripe != nullptr ? ap_stripe[ap] : 0].insert(key);
-      }
-    }
-    stripes_ = std::move(fresh);
-    ap_stripe_ = ap_stripe;
-  }
 
   /// Host a postbox at `ap`; a box with an already-hosted tag replaces the
   /// previous one (matching the old per-agent map semantics).
@@ -115,8 +92,7 @@ class AgentStateSlab {
   std::vector<std::uint32_t> seen_counts_;
   std::vector<std::uint32_t> postbox_head_;  ///< entry index or kNone
   std::vector<PostboxEntry> entries_;
-  std::vector<std::unordered_set<std::uint64_t>> stripes_;
-  const std::uint32_t* ap_stripe_ = nullptr;  ///< nullptr: everything in stripe 0
+  std::unordered_set<std::uint64_t> seen_;  ///< the dup filter
 };
 
 }  // namespace citymesh::core

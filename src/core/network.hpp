@@ -37,7 +37,6 @@
 #include "obsx/trace.hpp"
 #include "qfgeo/qfgeo.hpp"
 #include "relayx/policy.hpp"
-#include "shardx/engine.hpp"
 #include "sim/medium.hpp"
 #include "sim/simulator.hpp"
 
@@ -97,25 +96,6 @@ struct NetworkConfig {
   /// Capacity of the network's trace ring (events). 0 = auto-size from the
   /// AP count. The ring keeps the latest window when a run outgrows it.
   std::size_t trace_capacity = 0;
-
-  /// Tile shards for intra-run parallelism (src/shardx). 1 (default) is the
-  /// legacy single event loop, byte-identical to the pre-shardx pipeline.
-  /// K >= 2 partitions the city into K building-atomic tiles, each with its
-  /// own simulator/medium/policy, synchronized by conservative-lookahead
-  /// windows; merged run manifests are invariant across K >= 2 (hashed link
-  /// randomness, per-AP policy streams), and match K = 1 exactly in the
-  /// draw-free regime (flood policy, loss_probability = 0, jitter_s = 0).
-  /// Live faultx Engine::install is unsupported with shards > 1 (it drives
-  /// the legacy simulator); ScenarioEngine::apply_all between runs is fine.
-  std::size_t shards = 1;
-
-  /// How plan_tiles partitions the city when shards > 1. kGrid is the
-  /// original uniform centroid grid; kAdaptive balances tiles by estimated
-  /// event rate (AP count + radio degree per building) so dense downtown
-  /// tiles stop dominating the window barrier. Digests are invariant across
-  /// modes for every K >= 2 — tiled behavior depends only on hashed
-  /// per-link draws and per-AP streams, never on which tile hosts an AP.
-  shardx::TilingMode tiling = shardx::TilingMode::kGrid;
 
   /// Which protocol family this network runs. kConduit (default) leaves
   /// every code path byte-identical to the pre-qfgeo pipeline; kQfgeo
@@ -273,41 +253,30 @@ class CityMeshNetwork {
   /// The shared compiled city backing this network.
   const std::shared_ptr<const CompiledCity>& compiled() const { return compiled_; }
   const RoutePlanner& planner() const { return planner_; }
-  /// The legacy single event loop. With shards > 1 this simulator is idle
-  /// (tiles own their sims); drive tiled runs via schedule_control/run_until.
+  /// The network's event loop.
   sim::Simulator& simulator() { return sim_; }
   const NetworkConfig& config() const { return config_; }
 
-  // --- Shard-agnostic run driving (src/shardx) ---------------------------
-  // These are the only ways trafficx/faultx-style drivers should advance
-  // simulated time: with shards == 1 they forward to the legacy simulator
-  // verbatim; with shards > 1 they run the tiled window engine.
+  // --- Run driving ------------------------------------------------------
+  // The calls trafficx/faultx-style drivers advance simulated time through.
 
-  /// Number of tile shards (1 = legacy single event loop).
-  std::size_t shard_count() const { return shards_.size(); }
-  /// Current simulated time (tiled runs: the synchronized window frontier).
-  sim::SimTime sim_now() const;
-  /// Run the event loop(s) until `until` (inclusive) or `max_events` events.
-  /// Returns the number of events executed. Tiled runs merge per-shard
-  /// delivery deltas into the network-level outcome state before returning.
+  /// Current simulated time.
+  sim::SimTime sim_now() const { return sim_.now(); }
+  /// Run the event loop until `until` (inclusive) or `max_events` events.
+  /// Returns the number of events executed.
   std::size_t run_until(sim::SimTime until,
-                        std::size_t max_events = std::numeric_limits<std::size_t>::max());
-  /// Schedule a coordinator-level event (workload injection, fault action).
-  /// Legacy: plain Simulator::schedule_at. Tiled: runs between windows at
-  /// exactly `at`, when no worker is active — the handler may safely touch
-  /// any network state (inject flows, flip AP status, read flow states).
-  void schedule_control(sim::SimTime at, std::function<void()> fn);
-  /// Metrics merged across the network registry and every shard registry in
-  /// tile order (shards == 1: exactly metrics().snapshot()).
-  obsx::MetricsSnapshot merged_metrics() const;
-  /// Trace events merged across shards, sorted by (time, tile) with each
-  /// shard's internal order preserved (shards == 1: the network trace).
-  std::vector<obsx::TraceEvent> merged_trace_events() const;
-  /// Enable/disable tracing on whichever trace buffers are in effect.
-  void set_tracing(bool on);
-  bool tracing_enabled() const;
+                        std::size_t max_events = std::numeric_limits<std::size_t>::max()) {
+    return sim_.run(until, max_events);
+  }
+  /// Schedule a driver-level event (workload injection, fault action) at
+  /// `at`; the handler may touch any network state.
+  void schedule_control(sim::SimTime at, std::function<void()> fn) {
+    sim_.schedule_at(at, std::move(fn));
+  }
+  /// Snapshot of the network registry (metrics().snapshot()).
+  obsx::MetricsSnapshot merged_metrics() const { return metrics_.snapshot(); }
 
-  /// Medium counters summed across shards (legacy: the single medium's).
+  /// The medium's counters.
   struct MediumTotals {
     std::size_t transmissions = 0;
     std::size_t deliveries = 0;
@@ -317,36 +286,10 @@ class CityMeshNetwork {
   };
   MediumTotals medium_totals() const;
 
-  /// The tile plan driving a sharded network; nullptr when shards == 1.
-  const shardx::TilePlan* tile_plan() const {
-    return config_.shards > 1 ? &plan_ : nullptr;
-  }
-  /// Conservative lookahead window width (tiled runs only; kForever when
-  /// the tiles are radio-isolated or shards == 1).
-  double lookahead_s() const { return lookahead_s_; }
-
-  /// Cumulative worker idle time at window barriers (tiled runs): per
-  /// window, the sum over tiles of (slowest tile's wall clock - own wall
-  /// clock). High values mean the tile plan is unbalanced — the number
-  /// adaptive tiling exists to shrink. Always 0 with shards == 1.
-  double barrier_idle_s() const { return barrier_idle_s_; }
-
-  /// One cross-tile reception exchanged at a window barrier, in the
-  /// deterministic ingestion order (time, src_tile, seq).
-  struct HandoffRecord {
-    double time_s = 0.0;
-    shardx::TileId src_tile = 0;
-    std::uint64_t seq = 0;
-    mesh::ApId to = 0;
-    mesh::ApId from = 0;
-    std::uint32_t message_id = 0;
-  };
-  /// Record every exchanged handoff into handoff_log() (tests; off by
-  /// default — the log grows unboundedly).
-  void record_handoffs(bool on) { record_handoffs_ = on; }
-  const std::vector<HandoffRecord>& handoff_log() const { return handoff_log_; }
-  /// Total cross-tile receptions exchanged at barriers so far.
-  std::uint64_t handoffs_exchanged() const { return handoffs_exchanged_; }
+  /// Always 0: perfbench still reads these two counters of the deleted
+  /// tiled engine, which had window barriers and cross-tile handoffs.
+  double barrier_idle_s() const { return 0.0; }
+  std::uint64_t handoffs_exchanged() const { return 0; }
 
   /// Register Bob's postbox: every AP in his building hosts the (shared)
   /// postbox so any of them can cache arriving messages. Returns the shared
@@ -475,8 +418,7 @@ class CityMeshNetwork {
   // Pending (backoff-delayed) rebroadcasts, keyed by (message_id, ap): the
   // cancelable simulator event plus the overheard-duplicate tally the policy
   // judges cancellation by. Shared by the single-send path (cleared per
-  // send) and injected flows. Lives per shard — an AP's timers always run on
-  // its own tile's simulator.
+  // send) and injected flows.
   struct PendingRelay {
     sim::Simulator::EventId event = sim::Simulator::kInvalidEvent;
     std::uint32_t overheard = 0;
@@ -486,134 +428,32 @@ class CityMeshNetwork {
     bool greedy = false;
   };
 
-  /// Shard-local slice of the in-flight send's outcome, merged (and
-  /// consumed) by merge_shard_deltas() after every tiled run. The legacy
-  /// shard never uses it — it writes the network-level state directly.
-  struct ActiveDelta {
-    bool delivered = false;
-    double delivery_time_s = 0.0;
-    std::size_t postboxes_reached = 0;
-    bool ack_sent = false;
-    bool ack_delivered = false;
-  };
-  /// Shard-local slice of one injected flow's bookkeeping (src/trafficx).
-  struct FlowDelta {
-    bool delivered = false;
-    double delivery_time_s = 0.0;
-    std::size_t postboxes_reached = 0;
-    std::size_t transmissions = 0;
-  };
-
-  /// One execution shard: the event loop plus every piece of mutable
-  /// simulation state a window touches, so a worker thread running the
-  /// shard shares nothing writable with the others. With shards == 1 the
-  /// single Shard merely aliases the network's legacy singletons (own_*
-  /// stay null) and `direct` routes outcome writes straight to the
-  /// network-level state — the pre-shardx code path, byte for byte.
-  struct Shard {
-    shardx::TileId tile = 0;
-    bool direct = true;  ///< legacy aliasing shard?
-
-    // Owning storage (tiled shards only). Every shard's medium runs over
-    // the one shared compiled-city CSR with a tile filter — there is no
-    // per-tile topology copy.
-    std::unique_ptr<sim::Simulator> own_sim;
-    std::unique_ptr<sim::BroadcastMedium<MeshPacket>> own_medium;
-    std::unique_ptr<obsx::MetricsRegistry> own_metrics;
-    std::unique_ptr<obsx::TraceBuffer> own_trace;
-    std::unique_ptr<relayx::RebroadcastPolicy> own_policy;
-    std::unique_ptr<MessageCompiler> own_compiler;
-
-    // The instances in effect (owned above, or the network singletons).
-    sim::Simulator* sim = nullptr;
-    sim::BroadcastMedium<MeshPacket>* medium = nullptr;
-    obsx::MetricsRegistry* metrics = nullptr;
-    obsx::TraceBuffer* trace = nullptr;
-    relayx::RebroadcastPolicy* policy = nullptr;
-    MessageCompiler* compiler = nullptr;
-
-    // Cached counter handles. Tiled shards register the same names as the
-    // network registry, so merged snapshots sum into the legacy key set.
-    obsx::Counter* n_rebroadcasts = nullptr;
-    obsx::Counter* n_dup_suppressed = nullptr;
-    obsx::Counter* n_conduit_rejects = nullptr;
-    obsx::Counter* n_postbox_stores = nullptr;
-    obsx::Counter* n_acks_sent = nullptr;
-    obsx::Counter* n_suppression_cancelled = nullptr;
-    obsx::Counter* medium_deliveries = nullptr;
-    obsx::Counter* medium_blocked_receptions = nullptr;
-    obsx::Counter* medium_losses = nullptr;
-    obsx::Histogram* h_latency = nullptr;
-
-    // qfgeo.* counters, registered (and non-null) only when the network
-    // runs Protocol::kQfgeo — conduit manifests keep the legacy key set.
-    obsx::Counter* qf_candidates = nullptr;      ///< greedy forwards armed
-    obsx::Counter* qf_fired = nullptr;           ///< armed forwards that aired
-    obsx::Counter* qf_cancelled = nullptr;       ///< cancelled on overhear
-    obsx::Counter* qf_no_progress = nullptr;     ///< in-region, no progress
-    obsx::Counter* qf_fallback_floods = nullptr; ///< local-minimum recoveries
-
-    std::unordered_map<std::uint64_t, PendingRelay> pending;
-    ActiveDelta active;
-    std::unordered_map<std::uint32_t, FlowDelta> flow_deltas;
-
-    // Cross-tile receptions created this window, drained at the barrier.
-    std::vector<shardx::Handoff<MeshPacket>> outbox;
-    std::uint64_t handoff_seq = 0;
-  };
-
-  void handle_delivery(Shard& shard, sim::NodeId to, sim::NodeId from,
+  void handle_delivery(sim::NodeId to, sim::NodeId from,
                        const std::shared_ptr<const MeshPacket>& packet);
-  void transmit_counted(Shard& shard, mesh::ApId from,
-                        const std::shared_ptr<const MeshPacket>& packet);
+  void transmit_counted(mesh::ApId from, const std::shared_ptr<const MeshPacket>& packet);
   /// The relayx-policy election at the membership-check->rebroadcast point
   /// (relay now / cancelable backoff / suppress) — the conduit flood path,
   /// and qfgeo's scoped-flood fallback at local minima.
-  void policy_relay(Shard& shard, mesh::ApId to, std::uint32_t message_id,
+  void policy_relay(mesh::ApId to, std::uint32_t message_id,
                     mesh::ApId from, double now,
                     const std::shared_ptr<const MeshPacket>& packet);
   /// QF-Geo forwarding election for one in-region reception (greedy
   /// distance-to-destination with capacity penalty; local-minimum scoped
   /// flood through policy_relay).
-  void qfgeo_forward(Shard& shard, mesh::ApId to, mesh::ApId from,
+  void qfgeo_forward(mesh::ApId to, mesh::ApId from,
                      const AgentAction& action, double now,
                      const std::shared_ptr<const MeshPacket>& packet);
   /// Is `from` a QF-Geo local minimum for this message: no live in-region
   /// neighbor of `from` lies strictly closer to the destination. Static per
-  /// (message, transmitter) — AP positions are immutable and ap_status_
-  /// flips only in coordinator context, so reading it here is shard-safe.
+  /// (message, transmitter): AP positions are immutable.
   bool qfgeo_local_minimum(mesh::ApId from, const CompiledMessage& msg,
                            geo::Point dst) const;
-  /// Register (or alias) the qfgeo.* counters in `registry` when this
-  /// network runs Protocol::kQfgeo; leaves the pointers null otherwise.
-  void bind_qfgeo_counters(Shard& shard, obsx::MetricsRegistry& registry);
   /// Cancel every pending backoff-delayed rebroadcast (per-send reset).
   void clear_pending_relays();
-  void send_ack_from(Shard& shard, mesh::ApId ap);
+  void send_ack_from(mesh::ApId ap);
   SendOutcome run_send(BuildingId from_building, const PostboxInfo& to,
                        std::span<const std::uint8_t> payload, const SendOptions& opts,
                        std::uint8_t extra_flags, std::uint32_t broadcast_radius_m);
-
-  /// The resolved relayx config (network seed, per-AP streams when tiled).
-  relayx::PolicyConfig resolved_relay_config() const;
-  /// Build the K tile shards, cross-link index, and worker pool.
-  void build_tiles();
-  Shard& shard_for(mesh::ApId ap) {
-    return *shards_[config_.shards > 1 ? plan_.ap_tile[ap] : 0];
-  }
-  /// Deliver one on-air packet over this shard's cut edges: hashed
-  /// loss/jitter per link, arrival recorded as a Handoff in the outbox.
-  void remote_fanout(Shard& shard, sim::NodeId from,
-                     const std::shared_ptr<const MeshPacket>& packet, sim::SimTime air,
-                     std::uint32_t tx_index);
-  /// The tiled window loop behind run_until (shards > 1).
-  std::size_t run_tiled(sim::SimTime until, std::size_t max_events);
-  /// Barrier exchange: drain every outbox, sort (time, src_tile, seq),
-  /// schedule each handoff into its receiving tile.
-  void exchange_handoffs();
-  /// Fold every shard's Active/Flow deltas into the network-level outcome
-  /// state (tile order; consumes the deltas).
-  void merge_shard_deltas();
 
   static std::size_t trace_capacity_for(const NetworkConfig& config,
                                         std::size_t ap_count);
@@ -621,15 +461,13 @@ class CityMeshNetwork {
   std::shared_ptr<const CompiledCity> compiled_;
   NetworkConfig config_;
   /// Resumable-Dijkstra cache shared by every planner this network builds
-  /// (the member planner_ and the per-send/inject locals) — route planning
-  /// is coordinator-thread-only, so one unlocked cache serves them all.
+  /// (the member planner_ and the per-send/inject locals).
   SptCache spt_cache_;
   RoutePlanner planner_;
   MessageCompiler compiler_;  ///< declared before agents_, which point at it
   sim::Simulator sim_;
   sim::BroadcastMedium<MeshPacket> medium_;
   /// Every agent's mutable state, struct-of-arrays by AP id (core/ap_state).
-  /// One slab serves all tile shards; the dup filter is striped by tile.
   AgentStateSlab agent_state_{0};
   std::vector<ApAgent> agents_;
   std::unique_ptr<relayx::RebroadcastPolicy> policy_;
@@ -652,6 +490,13 @@ class CityMeshNetwork {
   obsx::Histogram* h_header_bits_ = nullptr;
   obsx::Histogram* h_min_hops_ = nullptr;
   obsx::Histogram* h_tx_per_delivery_ = nullptr;
+  // qfgeo.* counters, registered (and non-null) only when the network runs
+  // Protocol::kQfgeo — conduit manifests keep the legacy key set.
+  obsx::Counter* qf_candidates_ = nullptr;       ///< greedy forwards armed
+  obsx::Counter* qf_fired_ = nullptr;            ///< armed forwards that aired
+  obsx::Counter* qf_cancelled_ = nullptr;        ///< cancelled on overhear
+  obsx::Counter* qf_no_progress_ = nullptr;      ///< in-region, no progress
+  obsx::Counter* qf_fallback_floods_ = nullptr;  ///< local-minimum recoveries
 
   // Fault state: per-AP status plus degraded-link regions with precomputed
   // per-AP membership (aps are static, regions few).
@@ -683,47 +528,11 @@ class CityMeshNetwork {
     bool ack_delivered = false;
   };
   ActiveSend active_;
+  std::unordered_map<std::uint64_t, PendingRelay> pending_;
 
   // Injected-flow bookkeeping (src/trafficx), keyed by message id. The
-  // single-send path never touches this map. Read-only while a tiled window
-  // is running (workers probe it for per-flow attribution); mutated only by
-  // the coordinator between windows.
+  // single-send path never touches this map.
   std::unordered_map<std::uint32_t, FlowState> flows_;
-
-  // --- Tiled execution (src/shardx) --------------------------------------
-  // shards_ holds exactly one legacy aliasing shard (config_.shards <= 1)
-  // or the K owned tile shards. The coordinator (run_tiled) advances them
-  // in conservative-lookahead windows on the worker pool and exchanges
-  // handoffs at the barriers; cross-thread communication happens only
-  // through the fork/join edges, so the engine is TSan-clean by
-  // construction.
-  shardx::TilePlan plan_;
-  double lookahead_s_ = sim::kForever;
-  std::vector<std::unique_ptr<Shard>> shards_;
-  std::unique_ptr<shardx::WorkerPool> pool_;
-  sim::SimTime shard_now_ = 0.0;  ///< synchronized frontier (tiled runs)
-  // Cross-link CSR: cross_links_[cross_base_[ap] .. cross_base_[ap+1]) are
-  // the cut edges leaving `ap`, in plan order.
-  std::vector<std::size_t> cross_base_;
-  std::vector<shardx::CrossLink> cross_links_;
-  // Coordinator-level control events (min-heap on (time, seq)).
-  struct ControlEvent {
-    sim::SimTime time = 0.0;
-    std::uint64_t seq = 0;
-    std::function<void()> fn;
-  };
-  static bool control_after(const ControlEvent& a, const ControlEvent& b) {
-    if (a.time != b.time) return a.time > b.time;
-    return a.seq > b.seq;
-  }
-  std::vector<ControlEvent> control_;
-  std::uint64_t control_seq_ = 0;
-  std::vector<shardx::Handoff<MeshPacket>> handoff_scratch_;
-  bool record_handoffs_ = false;
-  std::vector<HandoffRecord> handoff_log_;
-  std::uint64_t handoffs_exchanged_ = 0;
-  double barrier_idle_s_ = 0.0;
-  std::vector<double> window_busy_s_;  ///< per-tile wall clock, scratch
 };
 
 }  // namespace citymesh::core

@@ -29,7 +29,7 @@ Graph GraphBuilder::build() const {
   }
   // Stable counting sort into the split arrays: each vertex's slice lists
   // neighbors in edge-insertion order, which downstream layers rely on
-  // (per-directed-edge tables, tile-filtered walks).
+  // (per-directed-edge tables, the medium's fan-out order).
   g.targets_.resize(edges_.size() * 2);
   g.weights_.resize(edges_.size() * 2);
   std::vector<EdgeOffset> cursor(g.offsets_.begin(), g.offsets_.end() - 1);

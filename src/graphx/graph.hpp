@@ -14,7 +14,7 @@
 // `neighbors()` returns a lightweight view whose iteration still yields
 // `Edge` values, so call sites are unchanged. The graph is immutable after
 // GraphBuilder::build and is built once per compiled city; every consumer
-// (medium shards, relayx link tables, tile plans) indexes this one copy.
+// (the medium, relayx link tables) indexes this one copy.
 #pragma once
 
 #include <cstdint>

@@ -1,7 +1,6 @@
 #include "obsx/metrics.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -24,7 +23,7 @@ void Histogram::record(double v) {
   const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), v);
   ++counts_[static_cast<std::size_t>(it - bounds_.begin())];
   ++total_;
-  sum_ += sum_quantum_ > 0.0 ? std::round(v / sum_quantum_) * sum_quantum_ : v;
+  sum_ += v;
 }
 
 void Histogram::reset() {

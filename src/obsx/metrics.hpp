@@ -66,24 +66,11 @@ class Histogram {
   HistogramSnapshot snapshot() const { return {bounds_, counts_, total_, sum_}; }
   void reset();
 
-  /// Accumulate `sum` in exact multiples of `q` (each recorded value is
-  /// rounded to the nearest multiple before adding; bucket assignment still
-  /// uses the raw value). Because every partial sum is then exactly
-  /// representable (while it stays below 2^53 * q), addition is associative
-  /// and the sum depends only on the multiset of recorded values — not on
-  /// the order events happened to run in. The tiled engine (src/shardx)
-  /// sets this on per-shard latency histograms so merged snapshots are
-  /// identical for every shard count K >= 2. 0 (default) disables
-  /// quantization — the legacy accumulate-in-arrival-order behavior.
-  void set_sum_quantum(double q) { sum_quantum_ = q; }
-  double sum_quantum() const { return sum_quantum_; }
-
  private:
   std::vector<double> bounds_;
   std::vector<std::uint64_t> counts_;
   std::uint64_t total_ = 0;
   double sum_ = 0.0;
-  double sum_quantum_ = 0.0;
 };
 
 /// Evenly spaced bucket bounds: first, first+step, ..., n of them.

@@ -37,8 +37,7 @@
 //                 fire earlier, and each queued packet at the receiver adds
 //                 a capacity penalty, so a congested best-positioned AP
 //                 yields to an idle slightly-worse one. No RNG draws —
-//                 the delay is a pure function of (geometry, queue depth),
-//                 which keeps tiled (src/shardx) runs shard-invariant.
+//                 the delay is a pure function of (geometry, queue depth).
 #pragma once
 
 #include <cstddef>

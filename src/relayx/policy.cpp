@@ -65,23 +65,16 @@ class FloodPolicy final : public RebroadcastPolicy {
 
 /// Random backoff; cancel on an overheard same-building copy within the
 /// suppress radius. Draws come from one shared stream seeded with the
-/// network seed, in election order (per-AP streams when tiled), so
-/// bench/ablation_suppression rows are reproducible byte for byte.
+/// network seed, in election order, so bench/ablation_suppression rows are
+/// reproducible byte for byte.
 class BuildingBackoffPolicy final : public RebroadcastPolicy {
  public:
   BuildingBackoffPolicy(const PolicyConfig& config, const mesh::ApNetwork& aps)
-      : RebroadcastPolicy(config), aps_(aps), rng_(config.seed) {
-    // Per-AP streams (config.per_ap_streams): each AP draws from its own
-    // deterministic stream, so the draw an election makes depends only on
-    // which AP elects for the how-many-th time — not on the global election
-    // order, which tiled execution (src/shardx) makes shard-count-dependent.
-    if (config.per_ap_streams) streams_ = make_streams(config.seed, aps.ap_count());
-  }
+      : RebroadcastPolicy(config), aps_(aps), rng_(config.seed) {}
 
-  Decision elect(const Reception& rx) override {
+  Decision elect(const Reception&) override {
     count_scheduled();
-    geo::Rng& rng = streams_.empty() ? rng_ : streams_[rx.ap];
-    return {Decision::Kind::kDelay, rng.uniform(0.0, config_.backoff_s)};
+    return {Decision::Kind::kDelay, rng_.uniform(0.0, config_.backoff_s)};
   }
 
   bool cancel_on_overhear(const Reception& rx, std::uint32_t) override {
@@ -93,7 +86,6 @@ class BuildingBackoffPolicy final : public RebroadcastPolicy {
  private:
   const mesh::ApNetwork& aps_;
   geo::Rng rng_;  ///< shared backoff stream (legacy message_rng_ order)
-  std::vector<geo::Rng> streams_;  ///< per-AP streams (per_ap_streams only)
 };
 
 // --------------------------------------------------------- counter-gossip ---
@@ -163,7 +155,7 @@ class EtxPriorityPolicy final : public RebroadcastPolicy {
       // Lazy exponential decay: age the accumulated mass to `now`, then add
       // this reception. Commutative for equal-time receptions, so the
       // estimate is a pure function of the link's reception *times*, never
-      // of event-processing order (shard-count invariance, src/shardx).
+      // of event-processing order.
       rx_counts_[slot] = aged(rx_counts_[slot], last_rx_s_[slot], rx.now_s) + 1.0;
       last_rx_s_[slot] = rx.now_s;
       count_etx_update();

@@ -99,12 +99,6 @@ struct PolicyConfig {
   /// coasting on stale mass forever. 0 (default) disables decay — counts
   /// only grow, the pre-decay behavior exactly.
   double decay_half_life_s = 0.0;
-  /// Building-backoff draw streams. false (default): one shared stream
-  /// consumed in election order — the legacy draw sequence, byte-identical
-  /// manifests. true: an independent deterministic stream per AP, required
-  /// under tiled execution (src/shardx) where the global election order is
-  /// shard-count-dependent but each AP's own election sequence is not.
-  bool per_ap_streams = false;
   /// Base seed of the per-AP RNG streams (the network passes its own seed
   /// so policy draws follow the run's determinism contract).
   std::uint64_t seed = 99;

@@ -66,28 +66,8 @@ namespace citymesh::sim {
 
 using NodeId = graphx::VertexId;
 
-/// Decorrelates the jitter stream/hash from the loss stream/hash
-/// (sqrt(2) bits).
+/// Decorrelates the jitter stream from the loss stream (sqrt(2) bits).
 inline constexpr std::uint64_t kJitterStream = 0x6a09e667f3bcc909ULL;
-
-/// Content-keyed unit draw in [0, 1) for shard-invariant link randomness:
-/// hashing (seed, from, to, the sender's on-air transmission index, salt)
-/// instead of consuming a shared sequential stream makes loss and jitter
-/// outcomes a pure function of *what* was transmitted, independent of which
-/// tile shard processes the link or how events interleave globally — the
-/// property that keeps determinism digests identical across shard counts
-/// (src/shardx).
-inline double link_unit(std::uint64_t seed, NodeId from, NodeId to,
-                        std::uint32_t tx_index, std::uint64_t salt) {
-  std::uint64_t state = seed;
-  state ^= 0x9e3779b97f4a7c15ULL * (static_cast<std::uint64_t>(from) + 1);
-  (void)geo::splitmix64(state);
-  state ^= 0x9e3779b97f4a7c15ULL * (static_cast<std::uint64_t>(to) + 1);
-  (void)geo::splitmix64(state);
-  state ^= (static_cast<std::uint64_t>(tx_index) << 8) ^ salt;
-  const std::uint64_t bits = geo::splitmix64(state);
-  return static_cast<double>(bits >> 11) * 0x1.0p-53;
-}
 
 struct MediumConfig {
   /// Fixed per-packet transmission (serialization) delay, seconds. Only
@@ -123,17 +103,6 @@ struct MediumConfig {
   /// only the queue churn (N inserts -> 1 insert + N-1 reinsert-heads) and
   /// the per-reception closure allocations go away.
   bool batched_delivery = true;
-
-  // --- Shard-invariant link randomness (src/shardx) ----------------------
-  /// When true, loss and jitter draw from link_unit() — a content-keyed
-  /// hash of (seed, from, to, sender tx index) — instead of the shared
-  /// sequential streams, so outcomes do not depend on event interleaving
-  /// across tile shards. The hashed draws differ from the sequential
-  /// streams' values, so this is a distinct (still fully deterministic)
-  /// regime: the tiled engine enables it for every shard count K >= 2,
-  /// which is what makes digests K-invariant, while K = 1 keeps the legacy
-  /// streams and the golden digests.
-  bool shard_invariant_rng = false;
 };
 
 template <typename Packet>
@@ -154,15 +123,6 @@ class BroadcastMedium {
   /// Observer invoked once per packet actually put on the air (after any
   /// deferral; dropped packets never fire it).
   using TxObserverFn = std::function<void(NodeId from, const Packet&)>;
-  /// Cross-shard fan-out hook (src/shardx): invoked once per on-air packet
-  /// with (from, packet, serialization delay, sender tx index) AFTER the
-  /// local neighbor loop, so the owning network can deliver the packet over
-  /// topology edges that leave this medium's tile. The tx index is the one
-  /// link_unit() draws keyed on, letting the remote side reproduce the
-  /// exact loss/jitter outcome for its links.
-  using RemoteFanoutFn =
-      std::function<void(NodeId from, const std::shared_ptr<const Packet>&, SimTime air,
-                         std::uint32_t tx_index)>;
 
   BroadcastMedium(Simulator& simulator, const graphx::Graph& topology, MediumConfig config)
       : sim_(simulator),
@@ -172,8 +132,7 @@ class BroadcastMedium {
         jitter_rng_(config.seed ^ kJitterStream),
         busy_until_(config.bitrate_bps > 0.0 ? topology.vertex_count() : 0, 0.0),
         airtime_(config.bitrate_bps > 0.0 ? topology.vertex_count() : 0, 0.0),
-        node_ring_(config.bitrate_bps > 0.0 ? topology.vertex_count() : 0, kNoRing),
-        tx_counts_(config.shard_invariant_rng ? topology.vertex_count() : 0) {
+        node_ring_(config.bitrate_bps > 0.0 ? topology.vertex_count() : 0, kNoRing) {
     transmissions_ = &own_.counter("transmissions");
     deliveries_ = &own_.counter("deliveries");
     losses_ = &own_.counter("losses");
@@ -201,25 +160,6 @@ class BroadcastMedium {
   /// src/trafficx). Fires at the same instant as the medium's kTx trace
   /// event. Pass nullptr to clear.
   void set_tx_observer(TxObserverFn fn) { tx_observer_ = std::move(fn); }
-
-  /// Install the cross-shard fan-out hook (src/shardx). Pass nullptr to
-  /// clear. Only meaningful when this medium covers a single tile of the
-  /// topology: the hook carries every on-air packet to the links the tile
-  /// filter (or a tile subgraph) omits.
-  void set_remote_fanout(RemoteFanoutFn fn) { remote_fanout_ = std::move(fn); }
-
-  /// Restrict local fan-out to neighbors whose tile equals `tile` in the
-  /// external per-node table `node_tile` (one entry per topology vertex;
-  /// must outlive the medium). This lets K tile shards share the one
-  /// compiled-city CSR instead of each copying its subgraph. Cross-tile
-  /// neighbors are skipped before any loss/jitter draw, which is outcome-
-  /// preserving only under shard_invariant_rng (draws are keyed per link,
-  /// not consumed from a shared stream) — the tiled engine always runs in
-  /// that regime. Pass nullptr to clear.
-  void set_tile_filter(const std::uint32_t* node_tile, std::uint32_t tile) {
-    tile_filter_ = node_tile;
-    tile_ = tile;
-  }
 
   const MediumConfig& config() const { return config_; }
 
@@ -314,7 +254,6 @@ class BroadcastMedium {
     queue_drops_->reset();
     airtime_us_->reset();
     for (double& a : airtime_) a = 0.0;
-    for (std::uint32_t& c : tx_counts_) c = 0;
   }
 
  private:
@@ -451,43 +390,25 @@ class BroadcastMedium {
       airtime_us_->inc(static_cast<std::uint64_t>(std::llround(air * 1e6)));
       sim_.schedule_in(air, [this, from] { complete_transmission(from); });
     }
-    const std::uint32_t txn =
-        config_.shard_invariant_rng ? tx_counts_[from]++ : 0;
     DeliveryBatch* batch = config_.batched_delivery ? acquire_batch() : nullptr;
-    // The CSR keeps neighbor ids and weights in split packed arrays; the
-    // tile-membership check (and the common no-loss path) walks only the
-    // 4-byte id run.
+    // The CSR keeps neighbor ids and weights in split packed arrays.
     const auto links = topology_.neighbors(from);
     const std::span<const NodeId> link_ids = links.ids();
     const std::span<const double> link_weights = links.weights();
     for (std::size_t i = 0; i < link_ids.size(); ++i) {
       const NodeId to = link_ids[i];
-      // Cross-tile neighbors are handled by remote_fanout_; skipping them
-      // before any draw is outcome-preserving because tiled runs always use
-      // the per-link hashed draws (see set_tile_filter).
-      if (tile_filter_ != nullptr && tile_filter_[to] != tile_) continue;
       double loss = config_.loss_probability;
       if (link_loss_) {
         const double extra = link_loss_(from, to);
         if (extra > 0.0) loss = 1.0 - (1.0 - loss) * (1.0 - extra);
       }
-      if (loss > 0.0) {
-        const bool lost = config_.shard_invariant_rng
-                              ? link_unit(config_.seed, from, to, txn, 0) < loss
-                              : loss_rng_.chance(loss);
-        if (lost) {
-          losses_->inc();
-          trace(obsx::TraceKind::kDropLoss, to, pid, static_cast<std::uint32_t>(from));
-          continue;
-        }
+      if (loss > 0.0 && loss_rng_.chance(loss)) {
+        losses_->inc();
+        trace(obsx::TraceKind::kDropLoss, to, pid, static_cast<std::uint32_t>(from));
+        continue;
       }
       SimTime jitter = 0.0;
-      if (config_.jitter_s > 0.0) {
-        jitter = config_.shard_invariant_rng
-                     ? link_unit(config_.seed ^ kJitterStream, from, to, txn, 1) *
-                           config_.jitter_s
-                     : jitter_rng_.uniform(0.0, config_.jitter_s);
-      }
+      if (config_.jitter_s > 0.0) jitter = jitter_rng_.uniform(0.0, config_.jitter_s);
       const SimTime delay = air + config_.prop_delay_s_per_m * link_weights[i] + jitter;
       if (batch != nullptr) {
         // Same (time, seq) key and latency recording schedule_in would have
@@ -520,7 +441,6 @@ class BroadcastMedium {
                             batch);
       }
     }
-    if (remote_fanout_) remote_fanout_(from, packet, air, txn);
   }
 
   /// One reception: the exact body the unbatched per-reception closure runs.
@@ -576,7 +496,6 @@ class BroadcastMedium {
   LinkLossFn link_loss_;
   PacketBitsFn packet_bits_;
   TxObserverFn tx_observer_;
-  RemoteFanoutFn remote_fanout_;
   std::vector<std::unique_ptr<DeliveryBatch>> all_batches_;  ///< owns every batch
   std::vector<DeliveryBatch*> free_batches_;  ///< batches not currently in flight
   // Per-node transmitter slabs (all empty when contention is off).
@@ -586,9 +505,6 @@ class BroadcastMedium {
   std::vector<Ring> rings_;
   std::vector<std::shared_ptr<const Packet>> ring_slots_;  ///< tx_queue_capacity per ring
   std::vector<std::uint32_t> free_rings_;
-  std::vector<std::uint32_t> tx_counts_;  ///< empty unless shard_invariant_rng
-  const std::uint32_t* tile_filter_ = nullptr;  ///< per-node tile table (shardx)
-  std::uint32_t tile_ = 0;
   obsx::MetricsRegistry own_;  ///< fallback registry until bind_metrics()
   obsx::Counter* transmissions_;
   obsx::Counter* deliveries_;

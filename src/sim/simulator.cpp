@@ -11,13 +11,6 @@ bool Simulator::cancel(EventId id) {
   return true;
 }
 
-void Simulator::advance_to(SimTime t) {
-  if (t <= now_) return;
-  if (t > next_time())
-    throw std::invalid_argument{"Simulator: advance_to would skip pending events"};
-  now_ = t;
-}
-
 void Simulator::schedule_batch(SimTime t, std::uint64_t seq, BatchEvent* batch) {
   if (t < now_) throw std::invalid_argument{"Simulator: cannot schedule in the past"};
   queue_.push({t, seq, batch, InlineFn{}});

@@ -65,9 +65,9 @@ class Simulator {
 
   /// Cancel a pending cancelable event. Returns false when the token was
   /// already cancelled, already ran, or never cancelable *here* (e.g. it
-  /// belongs to another shard's simulator) — a counted no-op, never UB;
-  /// per-shard timer ownership (src/shardx) relies on this. O(1) amortized —
-  /// the queue is not touched; the event is skipped when it surfaces.
+  /// belongs to another simulator) — a counted no-op, never UB. O(1)
+  /// amortized — the queue is not touched; the event is skipped when it
+  /// surfaces.
   bool cancel(EventId id);
 
   /// Cancelable events scheduled and not yet run or cancelled.
@@ -81,29 +81,6 @@ class Simulator {
   /// been processed. Returns the number of events processed by this call.
   std::size_t run(SimTime until = kForever,
                   std::size_t max_events = std::numeric_limits<std::size_t>::max());
-
-  /// Earliest pending event time; kForever when the queue is empty. The
-  /// shardx window coordinator uses this to skip idle spans instead of
-  /// stepping empty lookahead windows.
-  SimTime next_time() const {
-    const EventRecord* top = queue_.peek();
-    return top == nullptr ? kForever : top->time;
-  }
-
-  /// Fast-forward to `t` without running anything (window-barrier alignment
-  /// across shards). Must not skip events: throws when t > next_time().
-  /// No-op when t <= now().
-  void advance_to(SimTime t);
-
-  /// Like schedule_at, but bypasses the latency histogram: cross-shard
-  /// handoff ingestion records the handoff's true tx->rx latency on the
-  /// source shard at creation time, so recording the barrier->arrival
-  /// remainder here would double-count.
-  template <typename F>
-  void schedule_at_unrecorded(SimTime t, F&& fn) {
-    if (t < now_) throw std::invalid_argument{"Simulator: cannot schedule in the past"};
-    queue_.push({t, next_seq_++, nullptr, InlineFn(std::forward<F>(fn))});
-  }
 
   // --- Batched events (sim/medium.hpp) -----------------------------------
   // A batched transmission consumes one sequence number per reception at

@@ -13,9 +13,8 @@ WorkloadResult run_workload(core::CityMeshNetwork& network,
   WorkloadResult result;
   result.flows.resize(schedule.flows.size());
 
-  // Contention counters are cumulative on the medium(s); this run's share is
+  // Contention counters are cumulative on the medium; this run's share is
   // the delta, so workload runs compose (and stack on faultx scenarios).
-  // medium_totals() sums across tile shards when the network runs tiled.
   const core::CityMeshNetwork::MediumTotals before = network.medium_totals();
 
   // One postbox identity per destination building, derived deterministically

@@ -113,6 +113,10 @@ std::optional<WorkloadSpec> parse_workload(std::istream& in, std::string* error)
   WorkloadSpec spec;
   std::string line;
   std::size_t line_no = 0;
+  // The later of the `rate`/`duration` lines: the one that completes the
+  // expected flow count checked after the last line.
+  std::size_t load_line_no = 0;
+  std::string load_line;
   while (std::getline(in, line)) {
     ++line_no;
     if (const auto hash = line.find('#'); hash != std::string::npos) {
@@ -123,6 +127,7 @@ std::optional<WorkloadSpec> parse_workload(std::istream& in, std::string* error)
     for (std::string tok; tokens >> tok;) parts.push_back(std::move(tok));
     if (parts.empty()) continue;
 
+    const bool sets_load = parts.front() == "rate" || parts.front() == "duration";
     Cursor cur{std::move(parts)};
     if (!parse_line(cur, spec)) {
       if (error) {
@@ -131,6 +136,19 @@ std::optional<WorkloadSpec> parse_workload(std::istream& in, std::string* error)
       }
       return std::nullopt;
     }
+    if (sets_load) {
+      load_line_no = line_no;
+      load_line = line;
+    }
+  }
+  if (spec.rate_per_s * spec.duration_s > kMaxExpectedFlows) {
+    if (error) {
+      *error = "workload spec: line " + std::to_string(load_line_no) +
+               ": rate x duration exceeds " +
+               std::to_string(static_cast<std::uint64_t>(kMaxExpectedFlows)) +
+               " expected flows: " + load_line;
+    }
+    return std::nullopt;
   }
   return spec;
 }

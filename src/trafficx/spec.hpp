@@ -16,6 +16,8 @@
 // sets the uniform payload-size range in bytes (one value = fixed size).
 // Numbers must be finite ("inf" and "nan" are rejected), and values stored
 // as integers (seed, origin, payload) must fit their integer type.
+// The expected flow count `rate x duration` may not exceed
+// kMaxExpectedFlows; the error names whichever of the two lines came last.
 #pragma once
 
 #include <iosfwd>
@@ -25,6 +27,10 @@
 #include "trafficx/workload.hpp"
 
 namespace citymesh::trafficx {
+
+/// Cap on a parsed spec's expected flow count (rate_per_s * duration_s).
+/// The schedule compiler reserves and generates that many flows up front.
+inline constexpr double kMaxExpectedFlows = 1e6;
 
 /// Parse a workload spec. On failure returns nullopt and, when `error` is
 /// non-null, a one-line description naming the offending line.

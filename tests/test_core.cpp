@@ -718,6 +718,25 @@ TEST(CityMeshNetwork, WideConduitTransmitsMoreThanNarrow) {
 
 // ----------------------------------------------------------- Evaluation ---
 
+TEST(CityMeshNetwork, ControlEventsRunInTimeOrder) {
+  const auto city = row_city(6, 20.0);
+  core::CityMeshNetwork net{city, fast_network_config()};
+  std::vector<double> fired;
+  net.schedule_control(0.5, [&] { fired.push_back(net.sim_now()); });
+  net.schedule_control(0.25, [&] {
+    fired.push_back(net.sim_now());
+    // Nested control events land after the current one, same run.
+    net.schedule_control(0.75, [&] { fired.push_back(net.sim_now()); });
+  });
+  net.run_until(2.0);
+  ASSERT_EQ(fired.size(), 3u);
+  EXPECT_DOUBLE_EQ(fired[0], 0.25);
+  EXPECT_DOUBLE_EQ(fired[1], 0.5);
+  EXPECT_DOUBLE_EQ(fired[2], 0.75);
+  EXPECT_DOUBLE_EQ(net.sim_now(), 2.0);
+  EXPECT_THROW(net.schedule_control(1.0, [] {}), std::invalid_argument);
+}
+
 TEST(Evaluation, SmallCityProtocolRuns) {
   const auto city = row_city(12, 20.0);
   core::EvaluationConfig cfg;

@@ -393,30 +393,6 @@ TEST(EtxPriorityPolicy, ZeroHalfLifeIgnoresTime) {
   EXPECT_DOUBLE_EQ(d0.delay_s, d1.delay_s);
 }
 
-TEST(BuildingBackoffPolicy, PerApStreamsIndependentOfElectionOrder) {
-  // per_ap_streams decouples each AP's draw sequence from the global
-  // election order — the property tiled execution (src/shardx) needs, since
-  // the interleaving of elections across tiles is shard-count-dependent.
-  const auto& aps = dense_aps();
-  relayx::PolicyConfig cfg;
-  cfg.kind = relayx::PolicyKind::kBuildingBackoff;
-  cfg.per_ap_streams = true;
-  const auto fwd = relayx::make_policy(cfg, aps);
-  const auto rev = relayx::make_policy(cfg, aps);
-  const mesh::ApId a = ap_with_degree(aps, 2);
-  const mesh::ApId b = aps.graph().neighbors(a)[0].to;
-  ASSERT_NE(a, b);
-
-  const auto fa = fwd->elect(rx_at(a, b));
-  const auto fb = fwd->elect(rx_at(b, a));
-  const auto rb = rev->elect(rx_at(b, a));
-  const auto ra = rev->elect(rx_at(a, b));
-  ASSERT_EQ(fa.kind, relayx::Decision::Kind::kDelay);
-  ASSERT_EQ(fb.kind, relayx::Decision::Kind::kDelay);
-  EXPECT_DOUBLE_EQ(fa.delay_s, ra.delay_s);
-  EXPECT_DOUBLE_EQ(fb.delay_s, rb.delay_s);
-}
-
 // -------------------------------------------- cancelable simulator events ---
 
 TEST(CancelableEvents, CancelledHandlerNeverRuns) {

@@ -99,8 +99,7 @@ TEST(Simulator, EmptyRunAdvancesToUntil) {
 }
 
 // Cancel on a fired, already-cancelled, or foreign event id is a counted
-// no-op — never UB. Per-shard timer ownership (src/shardx) relies on this:
-// an overhear-cancel may race a backoff that already fired on its own tile.
+// no-op — never UB: a safety check for callers holding a stale token.
 
 TEST(Simulator, CancelAfterFireIsCountedMiss) {
   sim::Simulator s;

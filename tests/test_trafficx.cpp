@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "core/evaluation.hpp"
@@ -136,10 +137,13 @@ TEST(WorkloadSpecText, ErrorNamesOffendingLine) {
 TEST(WorkloadSpecText, RejectsNonFiniteAndOutOfRangeNumbersWithLineNumber) {
   // from_chars accepts "inf"/"nan"; an infinite duration used to reach the
   // schedule's reserve() and a NaN or 1e30 seed an undefined integer cast.
+  // A finite duration or rate whose product with the other's default
+  // exceeds kMaxExpectedFlows is rejected the same way.
   for (const char* line :
        {"duration inf", "rate infinity", "seed nan", "seed -nan", "seed 1e30",
         "seed 18446744073709551616", "spatial hotspot bias inf",
-        "spatial emergency origin 5e9", "payload 64 1e300", "payload nan"}) {
+        "spatial emergency origin 5e9", "payload 64 1e300", "payload nan",
+        "duration 1e300", "rate 1e7"}) {
     std::string error;
     const auto spec =
         trafficx::parse_workload(std::string{"name ok\n"} + line + "\n", &error);
@@ -150,6 +154,24 @@ TEST(WorkloadSpecText, RejectsNonFiniteAndOutOfRangeNumbersWithLineNumber) {
   const auto edge = trafficx::parse_workload("seed 18446744073709549568\n");
   ASSERT_TRUE(edge.has_value());
   EXPECT_EQ(edge->seed, 18446744073709549568ull);
+}
+
+TEST(WorkloadSpecText, ExpectedFlowCapNamesTheLaterOfRateAndDuration) {
+  // rate x duration above kMaxExpectedFlows (a finite but huge duration used
+  // to parse, then hang `citymesh load`) is rejected once both are known; the
+  // error names the later of the two lines, whichever order they come in.
+  const std::pair<const char*, const char*> cases[] = {
+      {"name ok\nrate 2000\nduration 1000\n", "line 3"},
+      {"duration 1000\nname ok\nrate 2000\n", "line 3"},
+  };
+  for (const auto& [text, where] : cases) {
+    std::string error;
+    EXPECT_FALSE(trafficx::parse_workload(text, &error).has_value()) << text;
+    EXPECT_NE(error.find(where), std::string::npos) << text << ": " << error;
+  }
+  // At the cap, and a huge duration at a tiny rate, still parse.
+  EXPECT_TRUE(trafficx::parse_workload("rate 1000\nduration 1000\n").has_value());
+  EXPECT_TRUE(trafficx::parse_workload("duration 1e9\nrate 1e-6\n").has_value());
 }
 
 TEST(WorkloadSpecText, RejectsUnknownDirectiveAndBadClauses) {

@@ -114,111 +114,29 @@ fig11_digest() { grep -o '"digest": "[0-9a-f]*"' "$1"; }
   exit 1; }
 echo "check.sh: relayx smoke (fig11 quick-grid digest deterministic) OK"
 
-# --- shardx smoke: the tiled parallel engine must be invisible in every
-# determinism digest. Re-running the golden spec with --shards 2 and 4 must
-# reproduce the golden run's digest (the digest folds every behavioral row
-# cell; only the jitter-dependent latency *sum* inside the metrics block may
-# differ between the sequential RNG streams and the hashed shard-invariant
-# draws), the two K >= 2 manifests must be byte-identical to each other, and
-# the fig10 scaling bench self-asserts that each shard count reproduces
-# K=1's behavioral cells, exiting nonzero on the first divergence.
-shard_digest() { grep -o '"digest": "[0-9a-f]*"' "$1"; }
-for k in 2 4; do
-  "${cli}" sweep "${repo_root}/tools/golden/fig6_smoke.spec" --jobs 1 \
-    --shards "$k" --json "${smoke_dir}/golden_shards${k}.json" >/dev/null || {
-    echo "check.sh: golden sweep with --shards $k failed" >&2; exit 1; }
-  [ "$(shard_digest "${smoke_dir}/golden_shards${k}.json")" = \
-    "$(shard_digest "${smoke_dir}/golden.json")" ] || {
-    echo "check.sh: golden digest differs at --shards $k" >&2; exit 1; }
-done
-cmp -s "${smoke_dir}/golden_shards2.json" "${smoke_dir}/golden_shards4.json" || {
-  echo "check.sh: golden manifests differ between --shards 2 and --shards 4" >&2
-  exit 1; }
-"${build_dir}/bench/fig10_scale" --quick >/dev/null || {
-  echo "check.sh: fig10_scale shard-count invariance failed" >&2; exit 1; }
-
-# Tiling gate: the event-rate-adaptive tiler moves tile boundaries, never
-# behavior. The fig10 quick ladder under both partitioners must emit the
-# same behavioral digest (memory/wall/idle columns stay outside it).
-fig10_digest() { grep -o '"digest": "[0-9a-f]*"' "$1"; }
-"${build_dir}/bench/fig10_scale" --quick --tiling adaptive \
-  --json "${smoke_dir}/fig10_adaptive.json" >/dev/null || {
-  echo "check.sh: fig10_scale --tiling adaptive failed" >&2; exit 1; }
-"${build_dir}/bench/fig10_scale" --quick --tiling grid \
-  --json "${smoke_dir}/fig10_grid.json" >/dev/null || {
-  echo "check.sh: fig10_scale --tiling grid failed" >&2; exit 1; }
-[ -n "$(fig10_digest "${smoke_dir}/fig10_adaptive.json")" ] || {
+# --- fig10 smoke: the metro scale ladder must run its quick rung and emit
+# a manifest with a determinism digest.
+"${build_dir}/bench/fig10_scale" --quick --json "${smoke_dir}/fig10.json" \
+  >/dev/null || { echo "check.sh: fig10_scale --quick failed" >&2; exit 1; }
+grep -q '"digest": "[0-9a-f]*"' "${smoke_dir}/fig10.json" || {
   echo "check.sh: fig10 manifest missing digest" >&2; exit 1; }
-[ "$(fig10_digest "${smoke_dir}/fig10_adaptive.json")" = \
-  "$(fig10_digest "${smoke_dir}/fig10_grid.json")" ] || {
-  echo "check.sh: fig10 digest differs between adaptive and grid tiling" >&2
-  exit 1; }
-echo "check.sh: tiling gate (adaptive == grid behavioral digest) OK"
-
-# fig8/fig9-style points (a faultx scenario and a trafficx workload) in the
-# draw-free regime (--jitter 0, zero loss): the determinism digest must be
-# identical for every shard count including the sequential engine, and the
-# K >= 2 manifests must additionally be byte-identical to each other (K=1's
-# manifest may differ in the last ulp of the unquantized latency sum).
-cat > "${smoke_dir}/shard_quake.spec" <<'EOF'
-name shard-quake
-seed 5
-blackout rect 200 200 700 600 at 0.0 restore 40 stages 2 every 10
-EOF
-cat > "${smoke_dir}/shard_load.spec" <<'EOF'
-name shard-load
-seed 11
-duration 4
-rate 2
-spatial hotspot bias 8
-payload 64 128
-EOF
-cat > "${smoke_dir}/shard_smoke.spec" <<EOF
-name shard-smoke
-cities cambridge
-seeds 1 2
-pairs 20
-deliver 2
-point scenario ${smoke_dir}/shard_quake.spec
-point workload ${smoke_dir}/shard_load.spec
-EOF
-shard_digest() { grep -o '"digest": "[0-9a-f]*"' "$1"; }
-for k in 1 2 4 8; do
-  "${cli}" sweep "${smoke_dir}/shard_smoke.spec" --jitter 0 --shards "$k" \
-    --json "${smoke_dir}/shard_k${k}.json" >/dev/null || {
-    echo "check.sh: shard smoke sweep failed at --shards $k" >&2; exit 1; }
-  [ "$(shard_digest "${smoke_dir}/shard_k${k}.json")" = \
-    "$(shard_digest "${smoke_dir}/shard_k1.json")" ] || {
-    echo "check.sh: shard smoke digest differs at --shards $k" >&2; exit 1; }
-done
-cmp -s "${smoke_dir}/shard_k2.json" "${smoke_dir}/shard_k4.json" \
-  && cmp -s "${smoke_dir}/shard_k4.json" "${smoke_dir}/shard_k8.json" || {
-  echo "check.sh: shard smoke manifests differ between K >= 2 shard counts" >&2
-  exit 1; }
-echo "check.sh: shardx smoke (tiled-engine digest identity) OK"
+echo "check.sh: fig10 smoke (quick metro ladder) OK"
 
 # --- qfgeo smoke: the fig12 conduit-vs-QF-Geo quick grid must emit the same
-# determinism digest no matter how many workers or shards execute it (the
-# bench pins the draw-free regime, so the tiled engine reproduces the
-# sequential one; wall_clock_s makes full-file compares meaningless here,
-# like fig11).
+# determinism digest no matter how many workers execute it (wall_clock_s
+# makes full-file compares meaningless here, like fig11).
 fig12_digest() { grep -o '"digest": "[0-9a-f]*"' "$1"; }
 "${build_dir}/bench/fig12_baselines" --quick --jobs 1 \
   --json "${smoke_dir}/fig12_j1.json" >/dev/null || {
   echo "check.sh: fig12_baselines --quick failed" >&2; exit 1; }
 "${build_dir}/bench/fig12_baselines" --quick --jobs 4 \
   --json "${smoke_dir}/fig12_j4.json" >/dev/null
-"${build_dir}/bench/fig12_baselines" --quick --jobs 4 --shards 4 \
-  --json "${smoke_dir}/fig12_k4.json" >/dev/null || {
-  echo "check.sh: fig12_baselines --shards 4 failed" >&2; exit 1; }
 [ -n "$(fig12_digest "${smoke_dir}/fig12_j1.json")" ] || {
   echo "check.sh: fig12 manifest missing digest" >&2; exit 1; }
-for v in j4 k4; do
-  [ "$(fig12_digest "${smoke_dir}/fig12_${v}.json")" = \
-    "$(fig12_digest "${smoke_dir}/fig12_j1.json")" ] || {
-    echo "check.sh: fig12 digest differs at variant ${v}" >&2; exit 1; }
-done
-echo "check.sh: qfgeo smoke (fig12 digest identical across --jobs/--shards) OK"
+[ "$(fig12_digest "${smoke_dir}/fig12_j4.json")" = \
+  "$(fig12_digest "${smoke_dir}/fig12_j1.json")" ] || {
+  echo "check.sh: fig12 digest differs between --jobs 1 and --jobs 4" >&2; exit 1; }
+echo "check.sh: qfgeo smoke (fig12 digest identical across --jobs) OK"
 
 # --- perfbench: the benchmark compiles the library from src/ through its own
 # CMake project, so a source change can break it without touching this tree.
@@ -234,57 +152,51 @@ echo "check.sh: perfbench build + ctest OK"
 # threads raw pointers through scheduled closures, the medium fans shared
 # immutable packets through queues and backoff closures, and the compiled-
 # message layer shares read-only CompiledMessages across receptions, and the
-# relayx policies keep per-AP state the backoff closures point into, the
-# shardx tiles hand shared immutable packets across thread boundaries, and
+# relayx policies keep per-AP state the backoff closures point into, and
 # the qfgeo election timers capture per-reception state into medium
 # closures, and the calendar queue moves event records between buckets
-# on every rebuild, and the metro-memory slabs (CSR views, agent-state
-# stripes, medium transmit rings) index shared flat arrays; run all nine
+# on every rebuild, and the metro-memory slabs (CSR views, the agent-state
+# slab, medium transmit rings) index shared flat arrays; run all eight
 # suites under ASan+UBSan in a separate tree (skipped if that tree's
 # configure fails, e.g. no sanitizer runtime on minimal images).
 san_dir="${build_dir}-asan"
 if cmake -B "${san_dir}" -S "${repo_root}" -DCITYMESH_SANITIZE=ON >/dev/null; then
   cmake --build "${san_dir}" -j "$(nproc 2>/dev/null || echo 4)" \
     --target test_obsx --target test_trafficx --target test_sim \
-    --target test_compiled --target test_relayx --target test_shardx \
+    --target test_compiled --target test_relayx \
     --target test_qfgeo --target test_scheduler --target test_metromem
   "${san_dir}/tests/test_obsx"
   "${san_dir}/tests/test_trafficx"
   "${san_dir}/tests/test_sim"
   "${san_dir}/tests/test_compiled"
   "${san_dir}/tests/test_relayx"
-  "${san_dir}/tests/test_shardx"
   "${san_dir}/tests/test_qfgeo"
   "${san_dir}/tests/test_scheduler"
   "${san_dir}/tests/test_metromem"
-  echo "check.sh: test_obsx + test_trafficx + test_sim + test_compiled + test_relayx + test_shardx + test_qfgeo + test_scheduler + test_metromem clean under ASan+UBSan"
+  echo "check.sh: test_obsx + test_trafficx + test_sim + test_compiled + test_relayx + test_qfgeo + test_scheduler + test_metromem clean under ASan+UBSan"
 else
   echo "check.sh: sanitizer configure failed; skipping ASan+UBSan pass" >&2
 fi
 
 # --- The runx engine shares compiled cities across worker threads, the
 # compile-once refactor additionally shares immutable CompiledMessages, and
-# the shardx worker pool runs tile simulators concurrently inside one run,
-# and the qfgeo sweep tests drive the protocol axis across worker threads,
-# and the tiled engine's shared agent-state slab stripes its dup filter by
-# tile (each stripe touched by exactly one worker thread); run those tests
-# (plus the event engine they drive) under TSan in a third tree to catch
-# data races the determinism digest can't see.
+# the qfgeo sweep tests drive the protocol axis across worker threads; run
+# those tests (plus the event engine they drive) under TSan in a third tree
+# to catch data races the determinism digest can't see.
 tsan_dir="${build_dir}-tsan"
 if cmake -B "${tsan_dir}" -S "${repo_root}" -DCITYMESH_SANITIZE=thread >/dev/null; then
   cmake --build "${tsan_dir}" -j "$(nproc 2>/dev/null || echo 4)" \
     --target test_runx --target test_sim --target test_compiled \
-    --target test_relayx --target test_shardx --target test_qfgeo \
+    --target test_relayx --target test_qfgeo \
     --target test_scheduler --target test_metromem
   "${tsan_dir}/tests/test_runx"
   "${tsan_dir}/tests/test_sim"
   "${tsan_dir}/tests/test_compiled"
   "${tsan_dir}/tests/test_relayx"
-  "${tsan_dir}/tests/test_shardx"
   "${tsan_dir}/tests/test_qfgeo"
   "${tsan_dir}/tests/test_scheduler"
   "${tsan_dir}/tests/test_metromem"
-  echo "check.sh: test_runx + test_sim + test_compiled + test_relayx + test_shardx + test_qfgeo + test_scheduler + test_metromem clean under TSan"
+  echo "check.sh: test_runx + test_sim + test_compiled + test_relayx + test_qfgeo + test_scheduler + test_metromem clean under TSan"
 else
   echo "check.sh: TSan configure failed; skipping thread-sanitizer pass" >&2
 fi

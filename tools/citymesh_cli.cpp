@@ -47,14 +47,9 @@
 //   --jobs N              worker threads (default 1; 0 = all cores). The
 //                         merged report and manifest are byte-identical for
 //                         any N.
-//   --shards N            tiled parallel engine (src/shardx) inside each run:
-//                         partition the city into N tiles with their own
-//                         event queues, synchronized by conservative
-//                         lookahead. Composes with --jobs (N tiles per run x
-//                         --jobs concurrent runs). Digests are invariant
-//                         across every N >= 2; N=1 is the sequential legacy
-//                         engine.
 //   --json FILE           write the merged sweep manifest to FILE
+//
+// Every numeric option must be a finite number; inf/nan is a usage error.
 //
 // Trace options:
 //   --trace FILE          (send/scenario/load) record every packet/fault
@@ -64,6 +59,7 @@
 //                         reprinted as JSONL before the summary
 #include <algorithm>
 #include <charconv>
+#include <cmath>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -121,7 +117,6 @@ struct Options {
   std::optional<double> jitter_s;
   std::size_t queue_slots = 8;
   std::size_t sweep_jobs = 1;
-  std::size_t shards = 1;
   std::string kind_filter;
   std::optional<std::uint32_t> node_filter;
   std::optional<std::uint32_t> packet_filter;
@@ -148,16 +143,19 @@ int usage() {
       "         --spec FILE --scenario FILE --bitrate BPS --queue N\n"
       "         --json FILE (load)\n"
       "         --jobs N --json FILE (sweep)\n"
-      "         --shards N (tiled parallel engine; 1 = sequential legacy)\n"
       "         --jitter S (per-delivery jitter seconds; 0 = draw-free)\n"
       "         --trace FILE (send/scenario/load)\n"
       "         --kind K --node N --packet P (trace)\n";
   return 2;
 }
 
+// Finite numbers only: std::from_chars also accepts "inf" and "nan".
 bool parse_double(const std::string& s, double& out) {
-  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), out);
-  return ec == std::errc{} && ptr == s.data() + s.size();
+  double v = 0.0;
+  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+  if (ec != std::errc{} || ptr != s.data() + s.size() || !std::isfinite(v)) return false;
+  out = v;
+  return true;
 }
 
 bool parse_u64(const std::string& s, std::uint64_t& out) {
@@ -248,11 +246,6 @@ std::optional<Options> parse_options(int argc, char** argv, int first) {
       const auto v = next();
       if (!v || !parse_u64(*v, n)) return std::nullopt;
       opts.sweep_jobs = n;
-    } else if (arg == "--shards") {
-      std::uint64_t n = 0;
-      const auto v = next();
-      if (!v || !parse_u64(*v, n) || n == 0) return std::nullopt;
-      opts.shards = n;
     } else if (arg == "--svg") {
       const auto v = next();
       if (!v) return std::nullopt;
@@ -311,7 +304,6 @@ core::NetworkConfig network_config(const Options& opts) {
       opts.shadowed ? mesh::LinkModel::kShadowed : mesh::LinkModel::kDisc;
   cfg.graph.transmission_range_m = opts.range_m;
   cfg.conduit.width_m = opts.width_m;
-  cfg.shards = opts.shards;
   if (opts.jitter_s) cfg.medium.jitter_s = *opts.jitter_s;
   if (!opts.policy.empty()) {
     cfg.relay.kind = *relayx::policy_kind_from(opts.policy);
@@ -779,7 +771,7 @@ int cmd_load(const Options& opts) {
 // any --jobs value.
 int cmd_sweep(const Options& opts) {
   if (opts.positional.empty()) {
-    std::cerr << "usage: citymesh sweep <spec-file> [--jobs N] [--shards N] [--json FILE]\n";
+    std::cerr << "usage: citymesh sweep <spec-file> [--jobs N] [--json FILE]\n";
     return 2;
   }
   const std::string& path = opts.positional[0];
@@ -814,7 +806,6 @@ int cmd_sweep(const Options& opts) {
             << " runs over " << spec->cities.size() << " cities ("
             << cache.compiles() << " compiled), jobs="
             << runx::resolve_jobs(opts.sweep_jobs);
-  if (opts.shards > 1) std::cout << ", shards=" << opts.shards;
   std::cout << '\n';
   viz::print_table(std::cout, "Sweep: " + spec->name, runx::sweep_headers(*spec),
                    report.rows());
